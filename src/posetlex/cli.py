@@ -77,7 +77,7 @@ def _cmd_enum(args):
 def _cmd_probs(args):
     started = time.perf_counter()
     poset = files.load(args.file)
-    matrix = linext.pair_counts(poset, args.cap)
+    matrix = linext.pair_counts(poset)
     lines = []
     for x in range(poset.n):
         for y in range(poset.n):
@@ -101,7 +101,7 @@ def _cmd_probs(args):
 def _cmd_delta(args):
     started = time.perf_counter()
     poset = files.load(args.file)
-    value, pair = linext.delta(poset, args.cap)
+    value, pair = linext.delta(poset)
     payload = {
         "delta": _fraction_str(value),
         "approx": float(value),
@@ -115,9 +115,9 @@ def _cmd_delta(args):
 def _cmd_check_13_23(args):
     started = time.perf_counter()
     poset = files.load(args.file)
-    found = linext.balanced_pair(poset, args.cap)
+    found = linext.balanced_pair(poset)
     if found is None:
-        value, pair = linext.delta(poset, args.cap)
+        value, pair = linext.delta(poset)
         payload = {
             "balanced": False,
             "delta": _fraction_str(value),
@@ -142,6 +142,11 @@ def _cmd_check_13_23(args):
 
 def _cmd_check_gpc(args):
     started = time.perf_counter()
+    if args.nonadaptive and args.via_decomposition:
+        raise ValueError(
+            "--via-decomposition lifts adaptive witnesses only; "
+            "it cannot be combined with --nonadaptive"
+        )
     poset = files.load(args.file)
     mode = "nonadaptive" if args.nonadaptive else "adaptive"
     if args.via_decomposition:
@@ -149,7 +154,7 @@ def _cmd_check_gpc(args):
     else:
         witness = conjectures.check_gpc(poset, mode=mode)
     if witness is None:
-        value, pair = linext.delta(poset, args.cap)
+        value, pair = linext.delta(poset)
         payload = {
             "gpc": False,
             "mode": mode,
@@ -252,8 +257,7 @@ def _cmd_lift_gpc(args):
     payload = {
         "component_witness": witness.to_json_dict(),
         "lifted_witness": lifted.to_json_dict(),
-        "k": linext.count_extensions(spec.poset)
-        // linext.count_extensions(component),
+        "k": lifted.t0 // witness.t0,
     }
     if not _report(args, "lift-gpc", spec.poset, payload, started):
         print(json.dumps(payload, indent=2))
@@ -310,7 +314,7 @@ def build_parser():
         "--cap",
         type=int,
         default=linext.DEFAULT_ENUM_CAP,
-        help="enumeration cap on e(P)",
+        help="enumeration cap on e(P), for enum and verify-locality only",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable reports"

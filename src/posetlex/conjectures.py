@@ -73,112 +73,84 @@ def _partition_ok(t0, t1, t2, strict):
     return t0 > t1 + t2 if strict else t0 >= t1 + t2
 
 
-def _branch_second(outcome, t0, t1, strict):
-    """First admissible second comparison for one outcome poset.
+def worst_count(poset, c, d):
+    """e of the larger outcome of comparing c with d: the t2 that pair leaves."""
+    return max(
+        linext.count_extensions(poset.with_relation(c, d)),
+        linext.count_extensions(poset.with_relation(d, c)),
+    )
 
-    Scans pairs in ascending index order and returns (second, t2) for the
-    first one satisfying the partition inequality, or None when no pair
-    works.  For chains the second comparison is vacuous: it leaves the one
-    surviving extension, so t2 = 1 (0 under the strict reading, which
-    shifts every vacuous count down by one).
+
+def _admissible_seconds(outcome, t0, t1, strict):
+    """{second: t2} for every second comparison satisfying the inequality.
+
+    Pairs come in ascending index order.  For chains the second comparison
+    is vacuous, keyed None: it leaves the one surviving extension, so
+    t2 = 1 (0 under the strict reading, which shifts every vacuous count
+    down by one).
     """
     if outcome.is_chain():
         t2 = 0 if strict else 1
-        return ((None, t2) if _partition_ok(t0, t1, t2, strict) else None)
+        return {None: t2} if _partition_ok(t0, t1, t2, strict) else {}
+    counts = linext.pair_counts(outcome).counts
+    seconds = {}
     for c, d in outcome.incomparable_pairs():
-        t2 = max(
-            linext.count_extensions(outcome.with_relation(c, d)),
-            linext.count_extensions(outcome.with_relation(d, c)),
-        )
+        t2 = max(counts[c][d], counts[d][c])
         if _partition_ok(t0, t1, t2, strict):
-            return (c, d), t2
-    return None
+            seconds[(c, d)] = t2
+    return seconds
 
 
 def check_gpc(poset, mode="adaptive", strict=False):
     """Search for a gold-partition witness; None means the poset fails.
 
     First pairs are tried in ascending index order and the first full
-    witness is returned, so the result is deterministic.  In nonadaptive
-    mode a single second pair must be incomparable in, and work for, every
-    non-chain outcome.
+    witness is returned, so the result is deterministic.  Adaptive mode
+    takes the first admissible second pair of each outcome.  In nonadaptive
+    mode a single second pair, the first in ascending order, must be
+    incomparable in, and work for, every non-chain outcome.  Every t-value
+    is read off the pair-count matrices of P and of its outcome posets.
     """
     if mode not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown mode {mode!r}")
     if poset.is_chain():
         raise ChainError("the gold partition conjecture concerns non-chains")
-    t0 = linext.count_extensions(poset)
+    matrix = linext.pair_counts(poset)
+    t0 = matrix.total
     for a, b in poset.incomparable_pairs():
-        outcomes = [
-            ((a, b), poset.with_relation(a, b)),
-            ((b, a), poset.with_relation(b, a)),
-        ]
-        t1s = [linext.count_extensions(p) for _, p in outcomes]
+        options = []
+        for x, y in ((a, b), (b, a)):
+            t1 = matrix.counts[x][y]
+            seconds = _admissible_seconds(poset.with_relation(x, y), t0, t1, strict)
+            if not seconds:
+                break
+            options.append(((x, y), t1, seconds))
+        if len(options) < 2:
+            continue
         if mode == "adaptive":
-            branches = []
-            for (result, outcome), t1 in zip(outcomes, t1s):
-                found = _branch_second(outcome, t0, t1, strict)
-                if found is None:
-                    break
-                second, t2 = found
-                branches.append(GpcBranch(result, t1, second, t2))
-            if len(branches) == 2:
-                return GpcWitness((a, b), t0, tuple(branches), strict)
+            picks = [next(iter(seconds)) for _, _, seconds in options]
         else:
-            witness = _nonadaptive_branches(poset, (a, b), t0, outcomes, t1s, strict)
-            if witness is not None:
-                return witness
-    return None
-
-
-def _nonadaptive_branches(poset, first, t0, outcomes, t1s, strict):
-    vacuous = 0 if strict else 1
-    open_branches = [
-        (i, outcome) for i, (_, outcome) in enumerate(outcomes) if not outcome.is_chain()
-    ]
-    if not open_branches:
-        if all(_partition_ok(t0, t1, vacuous, strict) for t1 in t1s):
-            branches = tuple(
-                GpcBranch(result, t1, None, vacuous)
-                for (result, _), t1 in zip(outcomes, t1s)
-            )
-            return GpcWitness(first, t0, branches, strict)
-        return None
-    for c, d in poset.incomparable_pairs():
-        if (c, d) == first:
-            continue
-        seconds = {}
-        ok = True
-        for i, outcome in open_branches:
-            if outcome.is_lt(c, d) or outcome.is_lt(d, c):
-                ok = False
-                break
-            t2 = max(
-                linext.count_extensions(outcome.with_relation(c, d)),
-                linext.count_extensions(outcome.with_relation(d, c)),
-            )
-            if not _partition_ok(t0, t1s[i], t2, strict):
-                ok = False
-                break
-            seconds[i] = ((c, d), t2)
-        if not ok:
-            continue
-        branches = []
-        for i, ((result, outcome), t1) in enumerate(zip(outcomes, t1s)):
-            if i in seconds:
-                second, t2 = seconds[i]
-            else:
-                second, t2 = None, vacuous
-                if not _partition_ok(t0, t1, t2, strict):
-                    break
-            branches.append(GpcBranch(result, t1, second, t2))
-        if len(branches) == 2:
-            return GpcWitness(first, t0, tuple(branches), strict)
+            shared = [
+                pair
+                for pair in poset.incomparable_pairs()
+                if all(pair in seconds or None in seconds for _, _, seconds in options)
+            ]
+            if not shared:
+                continue
+            picks = [None if None in seconds else shared[0] for _, _, seconds in options]
+        branches = tuple(
+            GpcBranch(result, t1, pick, seconds[pick])
+            for (result, t1, seconds), pick in zip(options, picks)
+        )
+        return GpcWitness((a, b), t0, branches, strict)
     return None
 
 
 def verify_gpc_witness(poset, witness):
     """Recount every t-value of a witness from scratch and recheck it.
+
+    The recounts run the extension count on each outcome poset, not the
+    pair-count pass the search reads, so they check it independently.
 
     A branch with no second pair is accepted when the outcome is a chain
     (the vacuous count), or when some actual second comparison achieves at
@@ -207,10 +179,7 @@ def verify_gpc_witness(poset, witness):
             c, d = branch.second
             if outcome.is_lt(c, d) or outcome.is_lt(d, c):
                 return False
-            t2 = max(
-                linext.count_extensions(outcome.with_relation(c, d)),
-                linext.count_extensions(outcome.with_relation(d, c)),
-            )
+            t2 = worst_count(outcome, c, d)
             if t2 != branch.t2:
                 return False
         if not _partition_ok(witness.t0, branch.t1, t2, witness.strict):
@@ -220,23 +189,18 @@ def verify_gpc_witness(poset, witness):
 
 def _second_achievable(outcome, budget):
     """Does some comparison in ``outcome`` leave at most ``budget`` either way?"""
-    for c, d in outcome.incomparable_pairs():
-        t2 = max(
-            linext.count_extensions(outcome.with_relation(c, d)),
-            linext.count_extensions(outcome.with_relation(d, c)),
-        )
-        if t2 <= budget:
-            return True
-    return False
+    return any(
+        worst_count(outcome, c, d) <= budget for c, d in outcome.incomparable_pairs()
+    )
 
 
-def check_one_third(poset, cap=linext.DEFAULT_ENUM_CAP):
+def check_one_third(poset):
     """Balanced pair per the 1/3-2/3 conjecture, or a delta report on failure.
 
     Returns ((x, y), ratio) on success.  On failure (which would refute the
     conjecture) returns None; use linext.delta for the full report.
     """
-    return linext.balanced_pair(poset, cap)
+    return linext.balanced_pair(poset)
 
 
 def sort_cost(poset):

@@ -24,7 +24,7 @@ from .errors import (
     PosetError,
     RemarkViolationError,
 )
-from .conjectures import GpcBranch, GpcWitness, verify_gpc_witness
+from .conjectures import GpcBranch, GpcWitness, verify_gpc_witness, worst_count
 from .poset import Poset
 
 
@@ -206,10 +206,7 @@ def lift_witness(sum_poset, mapping, component, witness):
             second, t2 = None, k * branch.t2
         else:
             second = (mapping[branch.second[0]], mapping[branch.second[1]])
-            t2 = max(
-                linext.count_extensions(outcome.with_relation(*second)),
-                linext.count_extensions(outcome.with_relation(second[1], second[0])),
-            )
+            t2 = worst_count(outcome, *second)
             if t2 != k * branch.t2:
                 raise PosetError("lifted t2 is not k * t2")
         branches.append(GpcBranch((a, b), t1, second, t2))

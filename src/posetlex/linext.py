@@ -3,8 +3,13 @@
 Counting walks the lattice of down-sets (order ideals): the number of
 linear extensions equals the number of maximal chains from the empty ideal
 to the full ground set, which a level-by-level dynamic program over ideal
-bitmasks computes exactly in arbitrary precision.  All probabilities are
-`fractions.Fraction`; floats never enter a comparison.
+bitmasks computes exactly in arbitrary precision.  Pair probabilities come
+from a single pass over the same lattice: a forward pass counts
+down(I) = e(P|I), a backward pass up(I) = e(P|rest), and #(x before y) is
+the sum of down(I)*up(I+x) over the ideals I that x extends with y outside
+(De Loof, De Meyer & De Baets, "Exploiting the lattice of ideals
+representation of a poset", Fundam. Inform. 71, 2006).  All probabilities
+are `fractions.Fraction`; floats never enter a comparison.
 """
 
 from __future__ import annotations
@@ -54,12 +59,13 @@ class PairCountMatrix:
     total: int
 
 
-def count_extensions(poset):
-    """Exact e(P) via the ideal-lattice dynamic program."""
+def _forward(poset):
+    """The forward pass: for k = 0..n, the level {ideal of size k: e(P|ideal)}."""
     n = poset.n
     preds = [poset.below_mask(e) for e in range(n)]
     full = (1 << n) - 1
     level = {0: 1}
+    yield level
     for _ in range(n):
         nxt = {}
         for ideal, ways in level.items():
@@ -72,7 +78,14 @@ def count_extensions(poset):
                 grown = ideal | low
                 nxt[grown] = nxt.get(grown, 0) + ways
         level = nxt
-    return level[full]
+        yield level
+
+
+def count_extensions(poset):
+    """Exact e(P): the forward pass's count at the full ideal."""
+    for level in _forward(poset):
+        pass
+    return level[(1 << poset.n) - 1]
 
 
 def enumerate_extensions(poset, cap=DEFAULT_ENUM_CAP):
@@ -104,34 +117,46 @@ def enumerate_extensions(poset, cap=DEFAULT_ENUM_CAP):
     return out
 
 
-def pair_counts(poset, cap=DEFAULT_ENUM_CAP):
-    """Exact before/after counts for every ordered pair.
+def pair_counts(poset):
+    """Exact before/after counts for every ordered pair, in one pass.
 
-    Below the enumeration cap the counts come from one pass over L(P);
-    above it each incomparable pair is recounted by the ideal DP with the
-    pair forced.  Both routes agree exactly.
+    The forward pass gives down(I) = e(P|I) for every ideal I; a backward
+    pass over the same ideals gives up(I) = e(P|rest).  The extensions that
+    place x right after exactly the ideal I number down(I)*up(I+x), and they
+    put x before every y outside I+x.  Only incomparable y need the sum:
+    every extension puts x before the elements above it.
     """
     n = poset.n
-    total = count_extensions(poset)
-    counts = [[0] * n for _ in range(n)]
-    if total <= cap:
-        for ext in enumerate_extensions(poset, cap):
-            lab = ext.labels
-            for x in range(n):
-                for y in range(n):
-                    if x != y and lab[x] < lab[y]:
-                        counts[x][y] += 1
-    else:
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                if poset.is_lt(x, y):
-                    counts[x][y] = total
-                elif not poset.is_lt(y, x) and x < y:
-                    c = count_extensions(poset.with_relation(x, y))
-                    counts[x][y] = c
-                    counts[y][x] = total - c
+    preds = [poset.below_mask(e) for e in range(n)]
+    incomparable = [poset.incomparable_mask(e) for e in range(n)]
+    full = (1 << n) - 1
+    down = {}
+    for level in _forward(poset):
+        down.update(level)
+    total = down[full]
+    up = {full: 1}
+    counts = [[total if poset.is_lt(x, y) else 0 for y in range(n)] for x in range(n)]
+    for ideal, ways in reversed(down.items()):
+        rest = full & ~ideal
+        free = rest
+        after = 0
+        while free:
+            low = free & -free
+            free ^= low
+            x = low.bit_length() - 1
+            if preds[x] & ~ideal:
+                continue
+            tail = up[ideal | low]
+            after += tail
+            weight = ways * tail
+            row = counts[x]
+            later = rest & incomparable[x]
+            while later:
+                bit = later & -later
+                later ^= bit
+                row[bit.bit_length() - 1] += weight
+        if rest:
+            up[ideal] = after
     return PairCountMatrix(tuple(tuple(row) for row in counts), total)
 
 
@@ -148,7 +173,7 @@ def prob(poset, x, y):
     return Fraction(before, total)
 
 
-def delta(poset, cap=DEFAULT_ENUM_CAP):
+def delta(poset):
     """max over pairs of min{P(x<y), P(y<x)} with its achieving pair.
 
     Ties break to the lexicographically smallest (x, y).  Chains have no
@@ -156,7 +181,7 @@ def delta(poset, cap=DEFAULT_ENUM_CAP):
     """
     if poset.is_chain():
         raise ChainError("delta is undefined on chains")
-    matrix = pair_counts(poset, cap)
+    matrix = pair_counts(poset)
     total = matrix.total
     best = None
     best_pair = None
@@ -167,7 +192,7 @@ def delta(poset, cap=DEFAULT_ENUM_CAP):
     return best, best_pair
 
 
-def balanced_pair(poset, cap=DEFAULT_ENUM_CAP):
+def balanced_pair(poset):
     """First incomparable pair with P(x<y) in [1/3, 2/3], or None.
 
     None would be a counterexample to the 1/3-2/3 conjecture; callers are
@@ -175,9 +200,10 @@ def balanced_pair(poset, cap=DEFAULT_ENUM_CAP):
     """
     if poset.is_chain():
         raise ChainError("balanced_pair is undefined on chains")
+    matrix = pair_counts(poset)
     low, high = Fraction(1, 3), Fraction(2, 3)
     for x, y in poset.incomparable_pairs():
-        p = prob(poset, x, y)
+        p = Fraction(matrix.counts[x][y], matrix.total)
         if low <= p <= high:
             return (x, y), p
     return None

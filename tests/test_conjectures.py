@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from posetlex import (
     Poset,
@@ -16,6 +17,8 @@ from posetlex import (
 from posetlex.conjectures import GpcBranch, GpcWitness, information_lower_bound, _fib
 from posetlex.errors import ChainError, SizeCapError
 from posetlex.generate import labeled_posets
+
+from conftest import brute_gpc, posets
 
 
 def test_chain_is_rejected():
@@ -56,6 +59,15 @@ def test_strict_reading_fails_on_three_extensions(point_and_chain):
 
 def test_witness_determinism(n_poset):
     assert check_gpc(n_poset) == check_gpc(n_poset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(6))
+def test_witness_matches_reference_search(poset):
+    assume(not poset.is_chain())
+    for mode in ("adaptive", "nonadaptive"):
+        for strict in (False, True):
+            assert check_gpc(poset, mode=mode, strict=strict) == brute_gpc(poset, mode, strict)
 
 
 def test_nonadaptive_implies_adaptive():

@@ -101,6 +101,16 @@ def test_cli_check_gpc_via_decomposition(capsys):
     assert doc["t0"] == 546510496896
 
 
+def test_cli_check_gpc_rejects_nonadaptive_via_decomposition(capsys):
+    # the decomposition route lifts adaptive witnesses only
+    path = str(POSETS_DIR / "p163425.poset")
+    code = main(["check-gpc", "--nonadaptive", "--via-decomposition", path])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_cli_sort_cost_and_gold_bound(capsys):
     assert main(["sort-cost", str(POSETS_DIR / "p312.poset")]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posetlex import (
@@ -19,7 +19,14 @@ from posetlex import (
 )
 from posetlex.errors import CapExceededError, ChainError
 
-from conftest import brute_count, brute_extensions
+from conftest import (
+    brute_balanced_pair,
+    brute_count,
+    brute_delta,
+    brute_extensions,
+    brute_pair_counts,
+    posets,
+)
 
 
 def test_count_chain_antichain():
@@ -79,14 +86,20 @@ def test_linear_extension_labels_are_ranks():
     assert ext.order == (2, 0, 1)
 
 
-def test_pair_counts_both_routes_agree(point_and_chain):
-    by_enum = pair_counts(point_and_chain)
-    by_dp = pair_counts(point_and_chain, cap=0)
-    assert by_enum.total == by_dp.total == 3
-    for x in range(3):
-        for y in range(3):
-            if x != y:
-                assert by_enum.counts[x][y] == by_dp.counts[x][y]
+@settings(max_examples=80, deadline=None)
+@given(posets(7))
+def test_pair_counts_match_brute_force(poset):
+    matrix = pair_counts(poset)
+    assert matrix.total == brute_count(poset)
+    assert [list(row) for row in matrix.counts] == brute_pair_counts(poset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(posets(6))
+def test_delta_and_balanced_pair_match_brute_force(poset):
+    assume(not poset.is_chain())
+    assert delta(poset) == brute_delta(poset)
+    assert balanced_pair(poset) == brute_balanced_pair(poset)
 
 
 def test_prob_values(point_and_chain):
