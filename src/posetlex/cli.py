@@ -8,6 +8,7 @@ input or I/O, 2 a conjecture check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -34,10 +35,16 @@ def _fraction_str(value):
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def _report(args, command, poset, payload, started):
-    """Emit a machine report (--json) or return False to let callers print."""
+def _report(args, command, poset, payload, started, extensions=None):
+    """Emit a machine report (--json) or return False to let callers print.
+
+    ``extensions`` is e(poset) when the caller already holds it; otherwise
+    the report counts it.
+    """
     if not args.json:
         return False
+    if poset is not None and extensions is None:
+        extensions = linext.count_extensions(poset)
     doc = {
         "command": command,
         "input": None
@@ -45,7 +52,7 @@ def _report(args, command, poset, payload, started):
         else {
             "elements": poset.n,
             "relations": len(poset.relation_pairs()),
-            "extensions": str(linext.count_extensions(poset)),
+            "extensions": str(extensions),
         },
         "result": payload,
         "wall_time_s": round(time.perf_counter() - started, 6),
@@ -58,7 +65,7 @@ def _cmd_count(args):
     started = time.perf_counter()
     poset = files.load(args.file)
     total = linext.count_extensions(poset)
-    if not _report(args, "count", poset, {"extensions": str(total)}, started):
+    if not _report(args, "count", poset, {"extensions": str(total)}, started, total):
         print(total)
     return EXIT_OK
 
@@ -168,7 +175,7 @@ def _cmd_check_gpc(args):
             )
         return EXIT_FAILURE
     payload = witness.to_json_dict()
-    if not _report(args, "check-gpc", poset, payload, started):
+    if not _report(args, "check-gpc", poset, payload, started, witness.t0):
         print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -189,21 +196,24 @@ def _cmd_gold_bound(args):
     cost = conjectures.sort_cost(poset)
     total = linext.count_extensions(poset)
     payload = {"holds": holds, "sort_cost": cost, "extensions": str(total)}
-    if not _report(args, "gold-bound", poset, payload, started):
+    if not _report(args, "gold-bound", poset, payload, started, total):
         print(f"C(P) = {cost}, e(P) = {total}, bound holds: {holds}")
     return EXIT_OK if holds else EXIT_FAILURE
+
+
+def _write(poset, output, comment):
+    """Write the poset file to ``output``, or to stdout when it is None."""
+    if output:
+        files.dump(poset, output, comment)
+    else:
+        sys.stdout.write(files.dumps(poset, comment))
 
 
 def _cmd_lexsum(args):
     base = files.load(args.base)
     components = [files.load(path) for path in args.components]
     spec = lexsum_mod.lex_sum(base, components)
-    text = files.dumps(spec.poset, comment="lexicographic sum")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(spec.poset, args.output, "lexicographic sum")
     return EXIT_OK
 
 
@@ -211,12 +221,7 @@ def _cmd_compose_at(args):
     base = files.load(args.base)
     component = files.load(args.component)
     spec = lexsum_mod.compose_at(base, args.index, component)
-    text = files.dumps(spec.poset, comment=f"substitution at point {args.index}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(spec.poset, args.output, f"substitution at point {args.index}")
     return EXIT_OK
 
 
@@ -259,7 +264,7 @@ def _cmd_lift_gpc(args):
         "lifted_witness": lifted.to_json_dict(),
         "k": lifted.t0 // witness.t0,
     }
-    if not _report(args, "lift-gpc", spec.poset, payload, started):
+    if not _report(args, "lift-gpc", spec.poset, payload, started, lifted.t0):
         print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -305,7 +310,9 @@ def _cmd_sweep(args):
     return EXIT_OK if summary.clean else EXIT_FAILURE
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="posetlex",
         description="Exact linear-extension analytics on finite posets.",

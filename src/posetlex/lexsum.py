@@ -25,7 +25,7 @@ from .errors import (
     RemarkViolationError,
 )
 from .conjectures import GpcBranch, GpcWitness, verify_gpc_witness, worst_count
-from .poset import Poset
+from .poset import Poset, _bits
 
 
 @dataclass(frozen=True)
@@ -325,10 +325,3 @@ def chain_substitution_probability(poset, point, m, x, y, cap=linext.DEFAULT_ENU
         if reduced.index(x) < reduced.index(y):
             num += weight
     return Fraction(num, den)
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -23,7 +23,7 @@ from .errors import (
 #: Largest poset the package accepts (exhaustive kernels are tuned for this).
 MAX_ELEMENTS = 24
 
-#: Largest poset for which canonical_key is available.
+#: Largest poset for which the canonical form is available.
 ISO_CAP = 10
 
 
@@ -269,17 +269,18 @@ class Poset:
 
     # -- canonical form ---------------------------------------------------
 
-    def canonical_key(self):
-        """A value equal across posets exactly when they are isomorphic.
+    def canonical_form(self):
+        """The canonical key and the number of automorphisms, |Aut(P)|.
 
         Iterated degree refinement splits the elements into ordered classes,
-        then every class-respecting relabeling is scored and the minimum
-        relation encoding is kept.  Intended for memoization on small posets
-        only; capped at ISO_CAP elements.
+        then every class-respecting relabeling is scored; the key is the
+        minimum relation encoding.  The relabelings that reach it are one
+        of them composed with each automorphism (automorphisms keep every
+        class), so their number is |Aut(P)|.  Capped at ISO_CAP elements.
         """
         n = self.n
         if n > ISO_CAP:
-            raise SizeCapError(f"canonical_key capped at {ISO_CAP} elements")
+            raise SizeCapError(f"canonical form capped at {ISO_CAP} elements")
         color = [
             (self.below_mask(v).bit_count(), self.above_mask(v).bit_count())
             for v in range(n)
@@ -303,7 +304,7 @@ class Poset:
         for v in range(n):
             classes.setdefault(color[v], []).append(v)
         ordered = [classes[c] for c in sorted(classes)]
-        best = None
+        best, hits = None, 0
         for pieces in itertools.product(*(itertools.permutations(g) for g in ordered)):
             old_order = [v for piece in pieces for v in piece]
             pos = [0] * n
@@ -318,8 +319,18 @@ class Poset:
                     code |= 1 << (base + pos[low.bit_length() - 1])
                     row ^= low
             if best is None or code < best:
-                best = code
-        return (n, best)
+                best, hits = code, 1
+            elif code == best:
+                hits += 1
+        return (n, best), hits
+
+    def canonical_key(self):
+        """A value equal across posets exactly when they are isomorphic.
+
+        The key part of ``canonical_form``; intended for memoization on
+        small posets only.
+        """
+        return self.canonical_form()[0]
 
     # -- dunder ------------------------------------------------------------
 

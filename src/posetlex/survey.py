@@ -1,16 +1,17 @@
-"""Exhaustive desk-scale sweeps over all small labeled posets."""
+"""Exhaustive desk-scale sweeps over all small posets, one per isomorphism class."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import conjectures, linext
 from .errors import SizeCapError
-from .generate import all_labeled_posets
+from .generate import poset_classes
 
-#: Labeled enumeration beyond this is out of desk reach.
-SWEEP_CAP = 6
+#: Class generation beyond this is out of desk reach (16,999 classes on 8 points).
+SWEEP_CAP = 8
 
 
 @dataclass
@@ -46,38 +47,27 @@ class SweepSummary:
 def sweep(max_n, mode="adaptive", strict=False):
     """Run the GPC and 1/3-2/3 checks over every labeled poset on <= max_n.
 
-    Both checks are isomorphism invariant, so each canonical class is
-    examined once and the verdict reused across its labelings; the summary
-    still counts every labeled poset.  Expected outcome everywhere in
-    reach: zero failures.
+    Both checks are isomorphism invariant, so each isomorphism class is
+    checked once, on its representative, and counted n!/|Aut| times, once
+    per labeling.  Each failure list holds one representative per failing
+    class.  Expected outcome everywhere in reach: zero failures.
     """
     if max_n > SWEEP_CAP:
-        raise SizeCapError(f"sweep capped at {SWEEP_CAP} labeled elements")
+        raise SizeCapError(f"sweep capped at {SWEEP_CAP} elements")
     summary = SweepSummary(max_n, mode)
     low, high = Fraction(1, 3), Fraction(2, 3)
-    verdicts = {}
-    for _, poset in all_labeled_posets(max_n):
-        summary.total += 1
+    for poset, automorphisms in poset_classes(max_n):
+        labelings = math.factorial(poset.n) // automorphisms
+        summary.total += labelings
         if poset.is_chain():
-            summary.chains += 1
+            summary.chains += labelings
             continue
-        summary.checked += 1
-        key = poset.canonical_key()
-        verdict = verdicts.get(key)
-        if verdict is None:
-            witness = conjectures.check_gpc(poset, mode=mode, strict=strict)
-            balanced = linext.balanced_pair(poset)
-            witness_balanced = True
-            if witness is not None:
-                p = linext.prob(poset, *witness.first)
-                witness_balanced = low <= p <= high
-            verdict = (witness is not None, balanced is not None, witness_balanced)
-            verdicts[key] = verdict
-        gpc_ok, one_third_ok, witness_balanced = verdict
-        if not gpc_ok:
+        summary.checked += labelings
+        witness = conjectures.check_gpc(poset, mode=mode, strict=strict)
+        if witness is None:
             summary.gpc_failures.append(poset)
-        if not one_third_ok:
-            summary.one_third_failures.append(poset)
-        if not witness_balanced:
+        elif not low <= linext.prob(poset, *witness.first) <= high:
             summary.unbalanced_witnesses.append(poset)
+        if linext.balanced_pair(poset) is None:
+            summary.one_third_failures.append(poset)
     return summary

@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid the package's own algorithms: extensions
 come from filtering all n! permutations, width from bipartite matching on
-the comparability relation, and isomorphism from trying every bijection.
+the comparability relation, isomorphism and automorphisms from trying
+every bijection, and labeled posets from one-point extension by all
+closed subsets.
 Pair counts, delta, balanced pairs and gold-partition witnesses are
 derived from those filtered extensions.
 """
@@ -122,6 +124,53 @@ def brute_gpc(poset, mode, strict):
             if None not in branches:
                 return GpcWitness((a, b), t0, branches, strict)
     return None
+
+
+def _closed_subsets(n, masks):
+    """Every subset of 0..n-1 that contains masks[e] along with each e."""
+    return [
+        subset
+        for subset in range(1 << n)
+        if all(not masks[e] & ~subset for e in range(n) if subset >> e & 1)
+    ]
+
+
+def labeled_posets(n):
+    """Every labeled poset on 0..n-1 exactly once, by one-point extension.
+
+    A poset on k+1 points restricts uniquely to 0..k-1, so extending every
+    poset on k points by every admissible (down-set, up-set) pair for the
+    new point enumerates without repeats.  Down-sets and up-sets come from
+    filtering all 2^k subsets; a pair is admissible when every chosen
+    predecessor lies below every chosen successor.
+    """
+    if n == 1:
+        yield Poset.antichain(1)
+        return
+    for small in labeled_posets(n - 1):
+        k = small.n
+        full = (1 << k) - 1
+        ups = _closed_subsets(k, [small.above_mask(e) for e in range(k)])
+        for down in _closed_subsets(k, [small.below_mask(e) for e in range(k)]):
+            allowed = full
+            for a in range(k):
+                if down >> a & 1:
+                    allowed &= small.above_mask(a)
+            for up in ups:
+                if up & ~allowed:
+                    continue
+                rows = [small.lt[a] | (1 << k if down >> a & 1 else 0) for a in range(k)]
+                rows.append(up)
+                yield Poset(k + 1, rows, _trusted=True)
+
+
+def brute_automorphisms(poset):
+    """|Aut(P)|: the permutations that map every relation to a relation."""
+    pairs = poset.relation_pairs()
+    return sum(
+        all(poset.is_lt(perm[a], perm[b]) for a, b in pairs)
+        for perm in itertools.permutations(range(poset.n))
+    )
 
 
 def _ranked_poset(rank, raw):

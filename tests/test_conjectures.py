@@ -16,9 +16,8 @@ from posetlex import (
 )
 from posetlex.conjectures import GpcBranch, GpcWitness, information_lower_bound, _fib
 from posetlex.errors import ChainError, SizeCapError
-from posetlex.generate import labeled_posets
 
-from conftest import brute_gpc, posets
+from conftest import brute_gpc, labeled_posets, posets
 
 
 def test_chain_is_rejected():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from posetlex import Poset, count_extensions, files
+from posetlex import Poset, count_extensions, files, linext
 from posetlex.cli import EXIT_ERROR, EXIT_OK, main
 from posetlex.files import FormatError
 
@@ -65,6 +65,33 @@ def test_cli_count_json(capsys):
     assert doc["result"]["extensions"] == "42"
     assert doc["input"]["elements"] == 6
     assert doc["wall_time_s"] >= 0
+
+
+def test_cli_json_count_counts_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(poset):
+        calls.append(poset)
+        return count_extensions(poset)
+
+    monkeypatch.setattr(linext, "count_extensions", counted)
+    assert main(["--json", "count", str(POSETS_DIR / "table1.poset")]) == EXIT_OK
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["input"]["extensions"] == "42"
+
+
+def test_cli_calls_share_no_state(capsys):
+    path = str(POSETS_DIR / "n.poset")
+    assert main(["--json", "count", path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["extensions"] == "5"
+    assert main(["count", path]) == EXIT_OK
+    assert capsys.readouterr().out == "5\n"
+    assert main(["check-gpc", "--nonadaptive", path]) == EXIT_OK
+    nonadaptive = json.loads(capsys.readouterr().out)
+    assert main(["check-gpc", path]) == EXIT_OK
+    adaptive = json.loads(capsys.readouterr().out)
+    assert nonadaptive["branches"][1]["second"] == [2, 3]
+    assert adaptive["branches"][1]["second"] == [0, 3]
 
 
 def test_cli_enum_rows(capsys):
@@ -203,6 +230,8 @@ def test_cli_sweep(capsys):
     code = main(["sweep", "4"])
     assert code == EXIT_OK
     assert "gpc failures: 0" in capsys.readouterr().out
+    assert main(["sweep", "9"]) == EXIT_ERROR
+    assert "sweep capped at 8" in capsys.readouterr().err
 
 
 def test_cli_error_exit_codes(capsys, tmp_path):

@@ -15,7 +15,7 @@ from posetlex.errors import (
     ZeroSizeError,
 )
 
-from conftest import brute_isomorphic, brute_width
+from conftest import brute_automorphisms, brute_isomorphic, brute_width, posets
 
 
 def relation_strategy(max_n=6):
@@ -167,6 +167,12 @@ def test_isomorphism_matches_brute_force(data, rng):
     q = p.relabel(perm)
     assert are_isomorphic(p, q)
     assert brute_isomorphic(p, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(posets(6))
+def test_automorphism_count_matches_brute_force(p):
+    assert p.canonical_form()[1] == brute_automorphisms(p)
 
 
 def test_relabeled_pair_not_isomorphic_when_shapes_differ():
