@@ -9,7 +9,6 @@ from .conjectures import (
     GpcBranch,
     GpcWitness,
     check_gpc,
-    check_one_third,
     gold_bound_holds,
     sort_cost,
     verify_gpc_witness,

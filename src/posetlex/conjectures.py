@@ -194,15 +194,6 @@ def _second_achievable(outcome, budget):
     )
 
 
-def check_one_third(poset):
-    """Balanced pair per the 1/3-2/3 conjecture, or a delta report on failure.
-
-    Returns ((x, y), ratio) on success.  On failure (which would refute the
-    conjecture) returns None; use linext.delta for the full report.
-    """
-    return linext.balanced_pair(poset)
-
-
 def sort_cost(poset):
     """Minimum worst-case comparisons to sort the poset to a chain.
 

@@ -14,10 +14,51 @@ from dataclasses import dataclass
 
 from . import conjectures, lexsum
 from .errors import SizeCapError
-from .poset import ISO_CAP, Poset, are_isomorphic
+from .poset import Poset, _bits
 
-#: Subset-sweep cap for autonomous-set detection.
+#: Largest poset whose autonomous sets are listed: an antichain on n points
+#: has 2^n - n - 2 of them.
 AUTONOMY_CAP = 20
+
+
+def _span(poset, mask):
+    """Smallest autonomous set containing ``mask``.
+
+    Adds every splitter, an outside element that relates to some members
+    but not to all, until none is left.  Each splitter lies in every
+    autonomous set containing ``mask``, so the result is the smallest one.
+    """
+    while True:
+        grown = mask
+        for z in _bits(((1 << poset.n) - 1) & ~mask):
+            up = poset.above_mask(z) & mask
+            down = poset.below_mask(z) & mask
+            if up not in (0, mask) or down not in (0, mask):
+                grown |= 1 << z
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def _size_then_mask(mask):
+    return mask.bit_count(), mask
+
+
+def _smallest(poset, nonchain):
+    """Bitmask of the smallest non-trivial autonomous set, ties by bitmask, or None.
+
+    Each autonomous set holding x and y holds their span, so the smallest
+    one is the span of a pair (McConnell & Spinrad, Discrete Math. 201,
+    1999).  With ``nonchain`` only sets inducing a non-chain factor count:
+    they hold an incomparable pair, so only those pairs are spanned.
+    """
+    if nonchain:
+        pairs = poset.incomparable_pairs()
+    else:
+        pairs = itertools.combinations(range(poset.n), 2)
+    full = (1 << poset.n) - 1
+    spans = {_span(poset, 1 << x | 1 << y) for x, y in pairs} - {full}
+    return min(spans, key=_size_then_mask, default=None)
 
 
 def is_autonomous(poset, members):
@@ -25,35 +66,34 @@ def is_autonomous(poset, members):
     mask = 0
     for v in members:
         mask |= 1 << v
-    for z in range(poset.n):
-        if mask >> z & 1:
-            continue
-        up = poset.above_mask(z) & mask
-        down = poset.below_mask(z) & mask
-        if up not in (0, mask) or down not in (0, mask):
-            return False
-    return True
+    return _span(poset, mask) == mask
 
 
 def autonomous_sets(poset):
     """All non-trivial autonomous sets, ascending by size then by bitmask.
 
-    Non-trivial means more than one element but not the whole poset.
+    Non-trivial means more than one element but not the whole poset.  Every
+    such set M is reached from a pair inside it by adding one element of M
+    at a time and closing again, so the search grows each set found by each
+    outside element.
     """
     if poset.n > AUTONOMY_CAP:
         raise SizeCapError(f"autonomous-set sweep capped at {AUTONOMY_CAP}")
-    out = []
-    for size in range(2, poset.n):
-        found = []
-        for members in itertools.combinations(range(poset.n), size):
-            if is_autonomous(poset, members):
-                mask = 0
-                for v in members:
-                    mask |= 1 << v
-                found.append((mask, members))
-        found.sort()
-        out.extend(AutonomousSet(m) for _, m in found)
-    return out
+    full = (1 << poset.n) - 1
+    pending = [1 << x | 1 << y for x, y in itertools.combinations(range(poset.n), 2)]
+    seen, found = set(), []
+    while pending:
+        mask = pending.pop()
+        if mask in seen:
+            continue
+        seen.add(mask)
+        closed = _span(poset, mask)
+        if closed == mask != full:
+            found.append(mask)
+            pending.extend(mask | 1 << z for z in _bits(full & ~mask))
+        else:
+            pending.append(closed)
+    return [AutonomousSet(tuple(_bits(m))) for m in sorted(found, key=_size_then_mask)]
 
 
 @dataclass(frozen=True)
@@ -83,26 +123,13 @@ def decompose(poset):
     Prefers the smallest autonomous set inducing a non-chain factor (the
     interesting direction for witness lifting); when every factor is a
     chain, falls back to the smallest autonomous set overall.  Ties break
-    by bitmask.  The round trip is verified against the original poset.
+    by bitmask.  The round trip is checked exactly: the rebuilt sum must
+    equal the poset relabeled by ``base_elements`` and ``members``.
     """
-    if poset.n > AUTONOMY_CAP:
-        raise SizeCapError(f"decompose capped at {AUTONOMY_CAP}")
-    chosen = _first_nonchain_autonomous_set(poset)
-    if chosen is None:
-        for size in range(2, poset.n):
-            found = []
-            for members in itertools.combinations(range(poset.n), size):
-                if is_autonomous(poset, members):
-                    mask = 0
-                    for v in members:
-                        mask |= 1 << v
-                    found.append((mask, members))
-            if found:
-                chosen = min(found)[1]
-                break
+    chosen = _smallest(poset, True) or _smallest(poset, False)
     if chosen is None:
         return None
-    members = tuple(chosen)
+    members = tuple(_bits(chosen))
     representative = members[0]
     base_elements = tuple(
         v for v in range(poset.n) if v == representative or v not in members
@@ -110,28 +137,10 @@ def decompose(poset):
     base = poset.induced(base_elements)
     index = base_elements.index(representative)
     factor = poset.induced(members)
-    _verify_round_trip(poset, base, index, factor)
-    return Decomposition(base, index, factor, members, base_elements)
-
-
-def _verify_round_trip(poset, base, index, factor):
-    rebuilt = lexsum.compose_at(base, index, factor).poset
-    if poset.n <= ISO_CAP:
-        ok = are_isomorphic(rebuilt, poset)
-    else:
-        ok = _fingerprint(rebuilt) == _fingerprint(poset)
-    if not ok:
+    order = base_elements[:index] + members + base_elements[index + 1:]
+    if lexsum.compose_at(base, index, factor).poset != poset.induced(order):
         raise AssertionError("decomposition round trip failed")
-
-
-def _fingerprint(poset):
-    from . import linext
-
-    degrees = sorted(
-        (poset.below_mask(v).bit_count(), poset.above_mask(v).bit_count())
-        for v in range(poset.n)
-    )
-    return (poset.n, tuple(degrees), linext.count_extensions(poset), poset.width())
+    return Decomposition(base, index, factor, members, base_elements)
 
 
 def gpc_via_decomposition(poset, strict=False):
@@ -142,28 +151,12 @@ def gpc_via_decomposition(poset, strict=False):
     indecomposable or every available factor is a chain.  Returns None only
     if the direct check fails, which would refute the conjecture.
     """
-    members = None
-    if poset.n <= AUTONOMY_CAP:
-        members = _first_nonchain_autonomous_set(poset)
-    if members is None:
+    chosen = _smallest(poset, True)
+    if chosen is None:
         return conjectures.check_gpc(poset, strict=strict)
+    members = tuple(_bits(chosen))
     factor = poset.induced(members)
     inner = gpc_via_decomposition(factor, strict=strict)
     if inner is None:
         return None
     return lexsum.lift_witness(poset, members, factor, inner)
-
-
-def _first_nonchain_autonomous_set(poset):
-    """Smallest autonomous set (ties by bitmask) inducing a non-chain factor."""
-    for size in range(2, poset.n):
-        found = []
-        for members in itertools.combinations(range(poset.n), size):
-            if is_autonomous(poset, members) and not poset.induced(members).is_chain():
-                mask = 0
-                for v in members:
-                    mask |= 1 << v
-                found.append((mask, members))
-        if found:
-            return min(found)[1]
-    return None

@@ -27,6 +27,14 @@ MAX_ELEMENTS = 24
 ISO_CAP = 10
 
 
+def _check_size(n):
+    """Reject a size outside 1..MAX_ELEMENTS before any work on n points."""
+    if n <= 0:
+        raise ZeroSizeError("poset needs at least one element")
+    if n > MAX_ELEMENTS:
+        raise SizeCapError(f"poset size {n} exceeds cap {MAX_ELEMENTS}")
+
+
 def _close(n, rows):
     """Warshall transitive closure of integer bitmask rows, in place."""
     for k in range(n):
@@ -44,10 +52,7 @@ class Poset:
     __slots__ = ("n", "lt", "_hash", "_gt")
 
     def __init__(self, n, lt, _trusted=False):
-        if n <= 0:
-            raise ZeroSizeError("poset needs at least one element")
-        if n > MAX_ELEMENTS:
-            raise SizeCapError(f"poset size {n} exceeds cap {MAX_ELEMENTS}")
+        _check_size(n)
         lt = tuple(lt)
         if not _trusted:
             _validate(n, lt)
@@ -68,10 +73,7 @@ class Poset:
     @classmethod
     def from_relations(cls, n, pairs):
         """Poset generated by the given ``a < b`` pairs (transitive closure)."""
-        if n <= 0:
-            raise ZeroSizeError("poset needs at least one element")
-        if n > MAX_ELEMENTS:
-            raise SizeCapError(f"poset size {n} exceeds cap {MAX_ELEMENTS}")
+        _check_size(n)
         rows = [0] * n
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
@@ -92,11 +94,10 @@ class Poset:
         accepted; only their relative order matters.
         """
         values = list(values)
-        if len(set(values)) != len(values):
-            raise DuplicateValueError("permutation values must be distinct")
         n = len(values)
-        if n == 0:
-            raise ZeroSizeError("poset needs at least one element")
+        _check_size(n)
+        if len(set(values)) != n:
+            raise DuplicateValueError("permutation values must be distinct")
         rows = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
@@ -107,12 +108,14 @@ class Poset:
     @classmethod
     def chain(cls, n):
         """The total order 0 < 1 < ... < n-1."""
-        full = (1 << n) - 1 if n > 0 else 0
+        _check_size(n)
+        full = (1 << n) - 1
         return cls(n, [full ^ ((1 << (a + 1)) - 1) for a in range(n)])
 
     @classmethod
     def antichain(cls, n):
         """n mutually incomparable points."""
+        _check_size(n)
         return cls(n, [0] * n)
 
     # -- basic queries ----------------------------------------------------

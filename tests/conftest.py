@@ -3,8 +3,8 @@
 The oracles deliberately avoid the package's own algorithms: extensions
 come from filtering all n! permutations, width from bipartite matching on
 the comparability relation, isomorphism and automorphisms from trying
-every bijection, and labeled posets from one-point extension by all
-closed subsets.
+every bijection, labeled posets from one-point extension by all
+closed subsets, and autonomous sets from testing all C(n, k) subsets.
 Pair counts, delta, balanced pairs and gold-partition witnesses are
 derived from those filtered extensions.
 """
@@ -196,6 +196,28 @@ def posets(max_n):
     return st.one_of(
         st.builds(Poset.antichain, sizes), st.builds(Poset.chain, sizes), random
     )
+
+
+def brute_is_autonomous(poset, members):
+    """Each outside z is below all members, above all, or incomparable to all."""
+    return all(
+        len({(poset.is_lt(z, m), poset.is_lt(m, z)) for m in members}) == 1
+        for z in range(poset.n)
+        if z not in members
+    )
+
+
+def brute_autonomous_sets(poset):
+    """Every autonomous set of 2..n-1 elements, ascending by size then bitmask."""
+    out = []
+    for size in range(2, poset.n):
+        found = [
+            (sum(1 << v for v in members), members)
+            for members in itertools.combinations(range(poset.n), size)
+            if brute_is_autonomous(poset, members)
+        ]
+        out.extend(members for _, members in sorted(found))
+    return out
 
 
 def brute_width(poset):

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from posetlex import (
     Poset,
     check_gpc,
-    check_one_third,
     gold_bound_holds,
     prob,
     sort_cost,
@@ -106,13 +105,6 @@ def test_verify_rejects_comparable_first_pair():
     assert w is not None
     chain = Poset.chain(3)
     assert not verify_gpc_witness(chain, w)
-
-
-def test_check_one_third_small():
-    found = check_one_third(Poset.antichain(3))
-    assert found is not None
-    _, ratio = found
-    assert Fraction(1, 3) <= ratio <= Fraction(2, 3)
 
 
 def test_sort_cost_basics():

@@ -1,6 +1,11 @@
 """Order-autonomous sets, decomposition, and the GPC fast path."""
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetlex import (
     Poset,
@@ -15,6 +20,8 @@ from posetlex import (
 )
 from posetlex import compose_at
 from posetlex.errors import SizeCapError
+
+from conftest import brute_autonomous_sets, brute_is_autonomous, posets
 
 
 def test_is_autonomous_basic():
@@ -70,9 +77,60 @@ def test_decompose_falls_back_to_chain_factor():
     assert split.members == (0, 1)
 
 
-def test_decompose_cap():
+def _rebuilds(poset, split):
+    """base o_index factor equals P relabeled by base_elements and members."""
+    i = split.index
+    order = split.base_elements[:i] + split.members + split.base_elements[i + 1:]
+    return compose_at(split.base, i, split.factor).poset == poset.induced(order)
+
+
+def _relabeled_sums():
+    """compose_at(base, i, factor) on at most 8 points, in any labeling."""
+    return st.tuples(posets(4), posets(5)).flatmap(
+        lambda bq: st.builds(
+            lambda i, perm: compose_at(bq[0], i, bq[1]).poset.relabel(perm),
+            st.integers(0, bq[0].n - 1),
+            st.permutations(range(bq[0].n + bq[1].n - 1)),
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(posets(8), _relabeled_sums()))
+def test_autonomous_sets_and_decompose_match_subset_oracle(poset):
+    oracle = brute_autonomous_sets(poset)
+    assert [s.members for s in autonomous_sets(poset)] == oracle
+    assert all(is_autonomous(poset, members) for members in oracle)
+    split = decompose(poset)
+    if not oracle:
+        assert split is None
+        return
+    nonchain = [
+        members
+        for members in oracle
+        if any(
+            not (poset.is_lt(a, b) or poset.is_lt(b, a))
+            for a, b in itertools.combinations(members, 2)
+        )
+    ]
+    assert split.members == (nonchain or oracle)[0]
+    assert _rebuilds(poset, split)
+
+
+def test_decompose_has_no_size_cap():
+    rng = random.Random(24)
+    pairs = [(a, b) for a in range(24) for b in range(a + 1, 24) if rng.random() < 0.1]
+    for poset, members in (
+        (Poset.antichain(24), (0, 1)),
+        (Poset.chain(24), (0, 1)),
+        (Poset.from_relations(24, pairs), (2, 15)),
+    ):
+        split = decompose(poset)
+        assert split.members == members
+        assert brute_is_autonomous(poset, members)
+        assert _rebuilds(poset, split)
     with pytest.raises(SizeCapError):
-        decompose(Poset.antichain(21))
+        autonomous_sets(Poset.antichain(21))
 
 
 def test_gpc_via_decomposition_matches_direct():

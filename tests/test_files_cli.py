@@ -1,6 +1,9 @@
 """The poset file format and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -248,3 +251,19 @@ def test_cli_reports_are_byte_stable(capsys):
     main(["check-gpc", str(POSETS_DIR / "n.poset")])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cli_closed_stdout_pipe_is_silent():
+    # The read end is closed before the child starts, so its output hits EPIPE.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "posetlex.cli", "enum", str(POSETS_DIR / "table1.poset")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_ERROR
+    assert stderr == b""

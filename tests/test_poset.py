@@ -51,6 +51,12 @@ def test_zero_and_cap_errors():
         Poset.antichain(0)
     with pytest.raises(SizeCapError):
         Poset.antichain(25)
+    with pytest.raises(ZeroSizeError):
+        Poset.from_permutation([])
+    with pytest.raises(SizeCapError):
+        Poset.from_permutation(range(10**6))
+    with pytest.raises(SizeCapError):
+        Poset.chain(10**6)
 
 
 def test_chain_and_antichain():
