@@ -76,7 +76,7 @@ def _cmd_enum(args):
     poset = files.load(args.file)
     extensions = linext.enumerate_extensions(poset, args.cap)
     rows = [" ".join(str(v) for v in ext.labels) for ext in extensions]
-    if not _report(args, "enum", poset, {"rows": rows}, started):
+    if not _report(args, "enum", poset, {"rows": rows}, started, len(extensions)):
         for row in rows:
             print(row)
     return EXIT_OK
@@ -99,7 +99,7 @@ def _cmd_probs(args):
             {"x": x, "y": y, "prob": p, "approx": d} for x, y, p, d in lines
         ],
     }
-    if not _report(args, "probs", poset, payload, started):
+    if not _report(args, "probs", poset, payload, started, matrix.total):
         print("x\ty\tprob\tapprox")
         for x, y, p, d in lines:
             print(f"{x}\t{y}\t{p}\t{d}")
@@ -245,7 +245,9 @@ def _cmd_verify_locality(args):
         "divisible": divisible,
         "reconstruction_ok": True,
     }
-    if not _report(args, "verify-locality", table.spec.poset, payload, started):
+    if not _report(
+        args, "verify-locality", table.spec.poset, payload, started, table.total
+    ):
         print(json.dumps(payload, indent=2))
     return EXIT_OK
 

@@ -88,6 +88,40 @@ def compose_at(base, i, component):
     return lex_sum(base, [component if j == i else one for j in range(base.n)])
 
 
+def _localizer(spec, i):
+    """``restrict_to_component`` for one spec, as a map from label tuples.
+
+    Block i, and the elements above and below it, are found once.  The map
+    returns the local order of Q_i.  An element above (below) the block
+    labeled at most its highest (at least its lowest) raises
+    RemarkViolationError, naming the first component at fault.
+    """
+    block = spec.embed[i]
+    first, stop = block[0], block[-1] + 1  # components are laid out consecutively
+    points = range(spec.base.n)
+    above = tuple(e for j in points if spec.base.is_lt(i, j) for e in spec.embed[j])
+    below = tuple(e for j in points if spec.base.is_lt(j, i) for e in spec.embed[j])
+    local = range(len(block))
+
+    def localize(labels):
+        values = labels[first:stop]
+        lo, hi = min(values), max(values)
+        if (above and min(map(labels.__getitem__, above)) <= hi) or (
+            below and max(map(labels.__getitem__, below)) >= lo
+        ):
+            e = min(
+                [e for e in above if labels[e] <= hi]
+                + [e for e in below if labels[e] >= lo]
+            )
+            side = "above" if e in above else "below"
+            raise RemarkViolationError(
+                f"component {spec.component_of(e)} not {side} component {i}"
+            )
+        return tuple(sorted(local, key=values.__getitem__))
+
+    return localize
+
+
 def restrict_to_component(spec, extension, i):
     """The linear order the extension induces on component i.
 
@@ -96,27 +130,7 @@ def restrict_to_component(spec, extension, i):
     entirely above (below) Q_i.  A violation means the extension does not
     belong to the sum and is reported as RemarkViolationError.
     """
-    block = spec.embed[i]
-    labels = extension.labels
-    lo = min(labels[e] for e in block)
-    hi = max(labels[e] for e in block)
-    for j in range(spec.base.n):
-        if spec.base.is_lt(i, j) and any(labels[e] <= hi for e in spec.embed[j]):
-            raise RemarkViolationError(f"component {j} not above component {i}")
-        if spec.base.is_lt(j, i) and any(labels[e] >= lo for e in spec.embed[j]):
-            raise RemarkViolationError(f"component {j} not below component {i}")
-    local = sorted(range(len(block)), key=lambda q: labels[block[q]])
-    return tuple(local)
-
-
-def _repattern(spec, extension, i, pattern):
-    """Reassign the labels Q_i occupies so its local order becomes ``pattern``."""
-    block = spec.embed[i]
-    slots = sorted(extension.labels[e] for e in block)
-    labels = list(extension.labels)
-    for rank, q in enumerate(pattern):
-        labels[block[q]] = slots[rank]
-    return linext.LinearExtension(tuple(labels))
+    return _localizer(spec, i)(extension.labels)
 
 
 @dataclass(frozen=True)
@@ -133,18 +147,22 @@ class LocalityTable:
 def locality_table(base, i, component, cap=linext.DEFAULT_ENUM_CAP):
     """Materialize the class table of the sum and verify its shape.
 
-    Checks that the classes keyed by the induced order on Q partition
-    L(sum) into equally sized rows with k * e(Q) = e(sum), and that the
-    row/column reconstruction is a bijection.
+    One pass over L(sum) keys each extension by the order it induces on Q,
+    checking locality.  Then it checks that every key is a column of L(Q),
+    that the classes are equally sized with k * e(Q) = e(sum), and that the
+    row/column reconstruction from the block's labels is a bijection.
     """
     spec = compose_at(base, i, component)
-    columns = tuple(
-        tuple(g.order) for g in linext.enumerate_extensions(component, cap)
-    )
+    columns = tuple(g.order for g in linext.enumerate_extensions(component, cap))
+    localize = _localizer(spec, i)
     classes = {g: [] for g in columns}
     extensions = linext.enumerate_extensions(spec.poset, cap)
     for f in extensions:
-        classes[restrict_to_component(spec, f, i)].append(f)
+        column = localize(f.labels)
+        members = classes.get(column)
+        if members is None:
+            raise PosetError(f"restriction {column} is not a linear extension of Q")
+        members.append(f)
     sizes = {g: len(fs) for g, fs in classes.items()}
     if len(set(sizes.values())) != 1:
         raise PosetError(f"unequal class sizes {sizes} falsify the class table")
@@ -152,14 +170,23 @@ def locality_table(base, i, component, cap=linext.DEFAULT_ENUM_CAP):
     total = len(extensions)
     if k * len(columns) != total:
         raise PosetError("class sizes do not tile L(sum)")
-    reference = columns[0]
-    rows = set(classes[reference])
-    for f in extensions:
-        row = _repattern(spec, f, i, reference)
-        if row not in rows:
-            raise PosetError("reconstruction left the reference class")
-        if _repattern(spec, row, i, restrict_to_component(spec, f, i)) != f:
-            raise PosetError("row/column reconstruction failed")
+    # Give each extension's block labels the reference column's order: that
+    # row must lie in the reference class.  The row differs from the
+    # extension only in the block, so giving the block its own column's
+    # order back must return the extension.
+    first, stop = spec.embed[i][0], spec.embed[i][-1] + 1
+    reference = tuple(map(columns[0].index, range(component.n)))  # q -> rank
+    rows = {f.labels for f in classes[columns[0]]}
+    for column, members in classes.items():
+        ranks = tuple(map(column.index, range(component.n)))
+        for f in members:
+            labels = f.labels
+            head, tail = labels[:first], labels[stop:]
+            slots = sorted(labels[first:stop])
+            if head + tuple(map(slots.__getitem__, reference)) + tail not in rows:
+                raise PosetError("reconstruction left the reference class")
+            if head + tuple(map(slots.__getitem__, ranks)) + tail != labels:
+                raise PosetError("row/column reconstruction failed")
     return LocalityTable(
         spec, columns, {g: tuple(fs) for g, fs in classes.items()}, k, total
     )

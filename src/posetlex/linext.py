@@ -100,20 +100,25 @@ def enumerate_extensions(poset, cap=DEFAULT_ENUM_CAP):
         raise CapExceededError(f"e(P) = {total} exceeds enumeration cap {cap}")
     n = poset.n
     preds = [poset.below_mask(e) for e in range(n)]
+    addable = {}  # ideal -> its minimal outside elements, ascending
+    labels = [0] * n
     out = []
-    order = []
 
-    def rec(placed):
-        if len(order) == n:
-            out.append(LinearExtension.from_order(order))
+    def rec(ideal, rank):
+        free = addable.get(ideal)
+        if free is None:
+            free = addable[ideal] = tuple(
+                e for e in range(n) if not ideal >> e & 1 and not preds[e] & ~ideal
+            )
+        if rank == n:  # one element is left: the leaf
+            labels[free[0]] = n
+            out.append(LinearExtension(tuple(labels)))
             return
-        for e in range(n):
-            if not placed >> e & 1 and not preds[e] & ~placed:
-                order.append(e)
-                rec(placed | (1 << e))
-                order.pop()
+        for e in free:
+            labels[e] = rank
+            rec(ideal | 1 << e, rank + 1)
 
-    rec(0)
+    rec(0, 1)
     return out
 
 

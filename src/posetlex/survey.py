@@ -64,10 +64,16 @@ def sweep(max_n, mode="adaptive", strict=False):
             continue
         summary.checked += labelings
         witness = conjectures.check_gpc(poset, mode=mode, strict=strict)
+        balanced = False
         if witness is None:
             summary.gpc_failures.append(poset)
-        elif not low <= linext.prob(poset, *witness.first) <= high:
-            summary.unbalanced_witnesses.append(poset)
-        if linext.balanced_pair(poset) is None:
+        else:
+            # P(first pair) is t1/t0 of the branch that orients it as given.
+            t1 = next(b.t1 for b in witness.branches if b.result == witness.first)
+            balanced = low <= Fraction(t1, witness.t0) <= high
+            if not balanced:
+                summary.unbalanced_witnesses.append(poset)
+        # A balanced first pair is a balanced pair; search only without one.
+        if not balanced and linext.balanced_pair(poset) is None:
             summary.one_third_failures.append(poset)
     return summary

@@ -5,8 +5,9 @@ come from filtering all n! permutations, width from bipartite matching on
 the comparability relation, isomorphism and automorphisms from trying
 every bijection, labeled posets from one-point extension by all
 closed subsets, and autonomous sets from testing all C(n, k) subsets.
-Pair counts, delta, balanced pairs and gold-partition witnesses are
-derived from those filtered extensions.
+Pair counts, delta, balanced pairs, gold-partition witnesses and the
+class table of a lexicographic sum are derived from those filtered
+extensions.
 """
 
 import functools
@@ -35,6 +36,21 @@ def brute_extensions(poset):
 
 def brute_count(poset):
     return len(brute_extensions(poset))
+
+
+def brute_locality_table(sum_poset, block, component):
+    """(columns, classes) of the class table, from the two filtered lists.
+
+    ``block[q]`` is the sum element carrying local element q of the
+    component.  The columns are the component's extensions; each class
+    lists, in filtering order, the sum's extensions that order the block
+    as its column does.
+    """
+    columns = brute_extensions(component)
+    classes = {column: [] for column in columns}
+    for order in brute_extensions(sum_poset):
+        classes[tuple(block.index(e) for e in order if e in block)].append(order)
+    return columns, classes
 
 
 def brute_pair_counts(poset):

@@ -70,7 +70,24 @@ def test_cli_count_json(capsys):
     assert doc["wall_time_s"] >= 0
 
 
-def test_cli_json_count_counts_once(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command, path, calls_made, extensions",
+    [
+        pytest.param("count", "table1.poset", 1, "42", id="count"),
+        # enumerate_extensions checks its cap with one count
+        pytest.param("enum", "p163425.poset", 1, "15", id="enum"),
+        # pair_counts reads e(P) off its own forward pass
+        pytest.param("probs", "table1.poset", 0, "42", id="probs"),
+        # two enumerations (Q and the sum), then e of 4 components and the sum
+        pytest.param(
+            "verify-locality", "table1_locality.json", 7, "42", id="verify-locality"
+        ),
+    ],
+)
+def test_cli_json_count_counts_once(
+    capsys, monkeypatch, command, path, calls_made, extensions
+):
+    """The --json envelope reuses the e(P) the command already holds."""
     calls = []
 
     def counted(poset):
@@ -78,9 +95,10 @@ def test_cli_json_count_counts_once(capsys, monkeypatch):
         return count_extensions(poset)
 
     monkeypatch.setattr(linext, "count_extensions", counted)
-    assert main(["--json", "count", str(POSETS_DIR / "table1.poset")]) == EXIT_OK
-    assert len(calls) == 1
-    assert json.loads(capsys.readouterr().out)["input"]["extensions"] == "42"
+    monkeypatch.chdir(POSETS_DIR.parent)  # the locality spec names posets/...
+    assert main(["--json", command, str(POSETS_DIR / path)]) == EXIT_OK
+    assert len(calls) == calls_made
+    assert json.loads(capsys.readouterr().out)["input"]["extensions"] == extensions
 
 
 def test_cli_calls_share_no_state(capsys):

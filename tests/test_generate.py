@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from posetlex import SizeCapError, sweep
+from posetlex import GpcWitness, SizeCapError, conjectures, linext, sweep
 from posetlex.generate import poset_classes
 
 from conftest import labeled_posets
@@ -47,6 +47,29 @@ def test_sweep_seven_points():
     assert (summary.total, summary.chains) == (6264355, 5913)
     assert summary.checked == summary.total - summary.chains
     assert summary.clean
+
+
+def test_sweep_searches_balanced_pairs_only_without_a_balanced_witness(monkeypatch):
+    """A balanced witness first pair is a balanced pair: only a missing or
+    unbalanced witness sends the sweep to ``balanced_pair``."""
+    searched = []
+    monkeypatch.setattr(linext, "balanced_pair", searched.append)  # finds none
+    assert sweep(4).clean and searched == []
+    check = conjectures.check_gpc
+
+    def unbalanced(poset, **options):
+        witness = check(poset, **options)
+        return GpcWitness(witness.first, 9 * witness.t0, witness.branches)
+
+    monkeypatch.setattr(conjectures, "check_gpc", unbalanced)
+    summary = sweep(4)
+    assert summary.unbalanced_witnesses == summary.one_third_failures == searched
+    assert len(searched) == 20  # the non-chain classes on at most 4 points
+    searched.clear()
+    monkeypatch.setattr(conjectures, "check_gpc", lambda poset, **options: None)
+    summary = sweep(4)
+    assert summary.gpc_failures == summary.one_third_failures == searched
+    assert len(searched) == 20
 
 
 def test_sweep_cap():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posetlex import (
     Poset,
@@ -35,6 +37,11 @@ from posetlex.errors import (
 )
 from posetlex.generate import random_nonchain_poset, random_poset
 from posetlex.linext import LinearExtension
+
+from conftest import brute_count, brute_locality_table, posets
+
+#: The N shape: w=0 < y=2, x=1 < y=2, x=1 < z=3.
+N_POSET = Poset.from_relations(4, [(0, 2), (1, 2), (1, 3)])
 
 
 def test_lex_sum_arity():
@@ -84,17 +91,37 @@ def test_restrict_to_component_locality():
     assert restrict_to_component(spec, good, 0) == (1, 0)
     # an order interleaving the components violates locality
     bad = LinearExtension.from_order((0, 2, 1))
-    with pytest.raises(RemarkViolationError):
+    with pytest.raises(RemarkViolationError, match="component 1 not above component 0"):
         restrict_to_component(spec, bad, 0)
+    # the same from the other side: the component below labeled too high
+    spec = lex_sum(base, [Poset.antichain(1), Poset.antichain(2)])
+    good = LinearExtension.from_order((0, 2, 1))
+    assert restrict_to_component(spec, good, 1) == (1, 0)
+    bad = LinearExtension.from_order((1, 0, 2))
+    with pytest.raises(RemarkViolationError, match="component 0 not below component 1"):
+        restrict_to_component(spec, bad, 1)
 
 
-def test_locality_table_shape(n_poset):
-    q = Poset.from_relations(3, [(1, 2)])
-    table = locality_table(n_poset, 0, q)
-    assert len(table.columns) == count_extensions(q) == 3
-    assert table.k * len(table.columns) == table.total
-    for column in table.columns:
+def _triples():
+    """(base, i, Q) in any labeling, with at most 7 points in the sum."""
+    return st.tuples(posets(4), posets(4)).flatmap(
+        lambda bq: st.tuples(st.just(bq[0]), st.integers(0, bq[0].n - 1), st.just(bq[1]))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triples())
+@example((N_POSET, 0, Poset.from_relations(3, [(1, 2)])))
+def test_locality_table_shape(triple):
+    base, i, q = triple
+    table = locality_table(base, i, q)
+    columns, classes = brute_locality_table(table.spec.poset, table.spec.embed[i], q)
+    assert table.columns == tuple(columns)
+    assert list(table.classes) == columns
+    for column in columns:
+        assert [f.order for f in table.classes[column]] == classes[column]
         assert len(table.classes[column]) == table.k
+    assert table.k * len(columns) == table.total == brute_count(table.spec.poset)
 
 
 def test_divisibility_product():

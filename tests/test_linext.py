@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from posetlex import (
@@ -65,10 +65,15 @@ def test_count_matches_brute_force(data):
     assert count_extensions(p) == brute_count(p)
 
 
-def test_enumerate_matches_brute_force(n_poset):
-    got = {ext.order for ext in enumerate_extensions(n_poset)}
-    assert got == set(brute_extensions(n_poset))
-    assert all(ext.respects(n_poset) for ext in enumerate_extensions(n_poset))
+@settings(max_examples=150, deadline=None)
+@given(posets(7))
+@example(Poset.from_relations(4, [(0, 2), (1, 2), (1, 3)]))  # the N poset
+def test_enumerate_matches_brute_force(poset):
+    """Same extensions in the same order: the oracle's permutations are
+    lexicographic, as is taking the least minimal element first."""
+    extensions = enumerate_extensions(poset)
+    assert [ext.order for ext in extensions] == brute_extensions(poset)
+    assert all(ext.respects(poset) for ext in extensions)
 
 
 def test_enumerate_deterministic(n_poset):
