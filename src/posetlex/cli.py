@@ -24,7 +24,6 @@ from . import (
 )
 from .decompose import decompose as run_decompose, gpc_via_decomposition
 from .errors import PosetError
-from .poset import Poset
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -234,15 +233,11 @@ def _cmd_verify_locality(args):
     component = files.load(doc["component"])
     index = int(doc["index"])
     table = lexsum_mod.locality_table(base, index, component, args.cap)
-    one = Poset.antichain(1)
-    divisible, _ = lexsum_mod.verify_divisibility(
-        base, [component if j == index else one for j in range(base.n)]
-    )
     payload = {
         "columns": len(table.columns),
         "k": table.k,
         "e": str(table.total),
-        "divisible": divisible,
+        "divisible": table.total % len(table.columns) == 0,
         "reconstruction_ok": True,
     }
     if not _report(

@@ -81,6 +81,18 @@ def worst_count(poset, c, d):
     )
 
 
+def _least_t2(t1, strict):
+    """A lower bound on t2 over every second comparison in a t1 outcome.
+
+    A second pair splits the t1 extensions into two nonempty counts, so the
+    larger is at least ceil(t1/2).  A chain outcome (t1 = 1) has only the
+    vacuous count: 1, or 0 under the strict reading.
+    """
+    if t1 == 1:
+        return 0 if strict else 1
+    return (t1 + 1) // 2
+
+
 def _admissible_seconds(outcome, t0, t1, strict):
     """{second: t2} for every second comparison satisfying the inequality.
 
@@ -90,7 +102,7 @@ def _admissible_seconds(outcome, t0, t1, strict):
     down by one).
     """
     if outcome.is_chain():
-        t2 = 0 if strict else 1
+        t2 = _least_t2(t1, strict)
         return {None: t2} if _partition_ok(t0, t1, t2, strict) else {}
     counts = linext.pair_counts(outcome).counts
     seconds = {}
@@ -110,6 +122,9 @@ def check_gpc(poset, mode="adaptive", strict=False):
     mode a single second pair, the first in ascending order, must be
     incomparable in, and work for, every non-chain outcome.  Every t-value
     is read off the pair-count matrices of P and of its outcome posets.
+    A first pair one of whose outcomes has t0 < t1 + ceil(t1/2) cannot
+    pass, since every second pair leaves t2 >= ceil(t1/2), so it is
+    skipped without a pass over that outcome.
     """
     if mode not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -118,6 +133,10 @@ def check_gpc(poset, mode="adaptive", strict=False):
     matrix = linext.pair_counts(poset)
     t0 = matrix.total
     for a, b in poset.incomparable_pairs():
+        # t1 + _least_t2(t1) grows with t1, so the larger outcome decides.
+        t1 = max(matrix.counts[a][b], matrix.counts[b][a])
+        if not _partition_ok(t0, t1, _least_t2(t1, strict), strict):
+            continue  # no second pair can satisfy the inequality
         options = []
         for x, y in ((a, b), (b, a)):
             t1 = matrix.counts[x][y]

@@ -18,15 +18,15 @@ def poset_classes(max_n):
     children are deduplicated by canonical key (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26, 1998; Brinkmann & McKay,
     "Posets on up to 16 points", Order 19, 2002).  A class of size n has
-    n!/|Aut| labelings.
+    n!/|Aut| labelings.  The last level is dropped class by class as it is
+    handed over, so what callers cache on its posets does not pile up.
     """
     level = [(Poset.antichain(1), 1)]
-    for n in range(1, max_n + 1):
+    for n in range(1, max_n):
         yield from level
-        if n == max_n:
-            return
         top = 1 << n
-        children = {}
+        seen = set()
+        children = []
         for small, _ in level:
             for ideals in _forward(small):
                 for down in ideals:
@@ -37,8 +37,13 @@ def poset_classes(max_n):
                     rows.append(0)
                     child = Poset(n + 1, rows, _trusted=True)
                     key, automorphisms = child.canonical_form()
-                    children.setdefault(key, (child, automorphisms))
-        level = list(children.values())
+                    if key not in seen:
+                        seen.add(key)
+                        children.append((child, automorphisms))
+        level = children
+    level.reverse()
+    while level:
+        yield level.pop()
 
 
 def random_poset(n, rng=None, edge_probability=0.35):

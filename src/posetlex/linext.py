@@ -20,8 +20,12 @@ from fractions import Fraction
 from .errors import CapExceededError, ChainError
 from .poset import Poset
 
-#: Default ceiling for explicit enumeration of L(P).
-DEFAULT_ENUM_CAP = 10**7
+#: Default ceiling on e(P) for explicit enumeration of L(P), sized from
+#: memory: ``enumerate_extensions`` holds about 193 bytes per extension and
+#: ``locality_table`` peaks at about 250 per extension of the sum
+#: (tracemalloc, 40,320 extensions of an 8-point antichain), so a call at
+#: the cap needs about 200-250 MB.
+DEFAULT_ENUM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,12 @@ def pair_counts(poset):
     place x right after exactly the ideal I number down(I)*up(I+x), and they
     put x before every y outside I+x.  Only incomparable y need the sum:
     every extension puts x before the elements above it.
+
+    The matrix is computed once per Poset instance: the first call keeps
+    it on the poset and later calls return that same (immutable) value.
     """
+    if poset._pair_counts is not None:
+        return poset._pair_counts
     n = poset.n
     preds = [poset.below_mask(e) for e in range(n)]
     incomparable = [poset.incomparable_mask(e) for e in range(n)]
@@ -162,7 +171,8 @@ def pair_counts(poset):
                 row[bit.bit_length() - 1] += weight
         if rest:
             up[ideal] = after
-    return PairCountMatrix(tuple(tuple(row) for row in counts), total)
+    poset._pair_counts = PairCountMatrix(tuple(tuple(row) for row in counts), total)
+    return poset._pair_counts
 
 
 def prob(poset, x, y):

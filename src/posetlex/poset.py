@@ -5,7 +5,9 @@ tables if they need names.  The strict relation is a tuple of integers,
 ``lt[a]`` having bit ``b`` set exactly when ``a < b``.  Every constructor
 returns a relation that is irreflexive, antisymmetric and transitively
 closed, and posets are immutable afterwards, so instances are safe to
-share, hash and use as dictionary keys.
+share, hash and use as dictionary keys.  One derived value is cached on
+the instance: ``linext.pair_counts`` keeps the pair-count matrix it
+computes in ``_pair_counts``, which equality and hashing ignore.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _close(n, rows):
 class Poset:
     """An immutable strict partial order on ``0..n-1``."""
 
-    __slots__ = ("n", "lt", "_hash", "_gt")
+    __slots__ = ("n", "lt", "_hash", "_gt", "_pair_counts")
 
     def __init__(self, n, lt, _trusted=False):
         _check_size(n)
@@ -67,6 +69,7 @@ class Poset:
                 gt[low.bit_length() - 1] |= 1 << a
                 row ^= low
         self._gt = tuple(gt)
+        self._pair_counts = None
 
     # -- constructors -----------------------------------------------------
 

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from posetlex import (
     Poset,
     check_gpc,
+    files,
     gold_bound_holds,
+    linext,
     prob,
     sort_cost,
     verify_gpc_witness,
@@ -16,7 +18,7 @@ from posetlex import (
 from posetlex.conjectures import GpcBranch, GpcWitness, information_lower_bound, _fib
 from posetlex.errors import ChainError, SizeCapError
 
-from conftest import brute_gpc, labeled_posets, posets
+from conftest import POSETS_DIR, brute_gpc, labeled_posets, posets
 
 
 def test_chain_is_rejected():
@@ -66,6 +68,31 @@ def test_witness_matches_reference_search(poset):
     for mode in ("adaptive", "nonadaptive"):
         for strict in (False, True):
             assert check_gpc(poset, mode=mode, strict=strict) == brute_gpc(poset, mode, strict)
+
+
+@pytest.mark.parametrize(
+    "name, passes",
+    [
+        # the unpruned search ran 4 outcome passes on p163425, 3 on example19
+        ("p163425", 2),
+        ("example19", 2),
+    ],
+)
+@pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])
+def test_balance_bound_skips_outcome_passes(monkeypatch, name, passes, mode):
+    poset = files.load(POSETS_DIR / f"{name}.poset")
+    outcomes = []
+    pair_counts = linext.pair_counts
+
+    def counted(p):
+        if p is not poset:
+            outcomes.append(p)
+        return pair_counts(p)
+
+    monkeypatch.setattr(linext, "pair_counts", counted)
+    witness = check_gpc(poset, mode=mode)
+    assert witness is not None and verify_gpc_witness(poset, witness)
+    assert len(outcomes) == passes
 
 
 def test_nonadaptive_implies_adaptive():

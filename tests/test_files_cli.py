@@ -78,9 +78,10 @@ def test_cli_count_json(capsys):
         pytest.param("enum", "p163425.poset", 1, "15", id="enum"),
         # pair_counts reads e(P) off its own forward pass
         pytest.param("probs", "table1.poset", 0, "42", id="probs"),
-        # two enumerations (Q and the sum), then e of 4 components and the sum
+        # two enumerations (Q and the sum), each checking its cap with one
+        # count; divisibility is read off the class table
         pytest.param(
-            "verify-locality", "table1_locality.json", 7, "42", id="verify-locality"
+            "verify-locality", "table1_locality.json", 2, "42", id="verify-locality"
         ),
     ],
 )
@@ -154,6 +155,15 @@ def test_cli_check_gpc_rejects_nonadaptive_via_decomposition(capsys):
     path = str(POSETS_DIR / "p163425.poset")
     code = main(["check-gpc", "--nonadaptive", "--via-decomposition", path])
     assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_cli_enum_over_default_cap_fails_at_once(capsys, tmp_path):
+    path = tmp_path / "antichain10.poset"
+    files.dump(Poset.antichain(10), path, "3,628,800 extensions")
+    assert main(["enum", str(path)]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")

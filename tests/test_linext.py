@@ -11,9 +11,11 @@ from posetlex import (
     LinearExtension,
     Poset,
     balanced_pair,
+    check_gpc,
     count_extensions,
     delta,
     enumerate_extensions,
+    linext,
     pair_counts,
     prob,
 )
@@ -85,6 +87,13 @@ def test_enumerate_cap():
         enumerate_extensions(Poset.antichain(6), cap=10)
 
 
+def test_enumerate_default_cap_fails_at_once():
+    # 10! = 3,628,800 extensions would hold about 700 MB; the cap check
+    # costs one count over 2**10 ideals.
+    with pytest.raises(CapExceededError):
+        enumerate_extensions(Poset.antichain(10))
+
+
 def test_linear_extension_labels_are_ranks():
     ext = LinearExtension.from_order((2, 0, 1))
     assert ext.labels == (2, 3, 1)
@@ -147,3 +156,46 @@ def test_delta_permutation_examples():
     assert value == Fraction(7, 15)
     value, _ = delta(Poset.from_permutation([1, 5, 3, 2, 4]))
     assert value == Fraction(1, 2)
+
+
+def _count_passes(monkeypatch):
+    """Record the poset of every forward pass over an ideal lattice."""
+    passes = []
+    forward = linext._forward
+
+    def counted(poset):
+        passes.append(poset)
+        return forward(poset)
+
+    monkeypatch.setattr(linext, "_forward", counted)
+    return passes
+
+
+def test_pair_counts_pass_runs_once_per_poset(monkeypatch):
+    poset = Poset.from_relations(5, [(0, 2), (1, 2), (1, 3), (3, 4)])
+    passes = _count_passes(monkeypatch)
+    matrix = pair_counts(poset)
+    delta(poset)
+    balanced_pair(poset)
+    check_gpc(poset)
+    check_gpc(poset, mode="nonadaptive")
+    assert pair_counts(poset) is matrix
+    assert sum(p is poset for p in passes) == 1
+
+
+def test_pair_counts_memo_leaves_equality_and_hash(n_poset):
+    twin = Poset(n_poset.n, n_poset.lt)
+    before = hash(n_poset)
+    pair_counts(n_poset)
+    assert n_poset == twin and twin == n_poset
+    assert hash(n_poset) == before == hash(twin)
+    outcome = n_poset.with_relation(0, 1)
+    assert outcome._pair_counts is None
+    assert pair_counts(outcome).total == count_extensions(outcome) == 2
+
+
+def test_count_extensions_runs_its_own_pass(monkeypatch, n_poset):
+    pair_counts(n_poset)
+    passes = _count_passes(monkeypatch)
+    assert count_extensions(n_poset) == 5
+    assert passes == [n_poset]
