@@ -192,9 +192,9 @@ def _cmd_sort_cost(args):
 def _cmd_gold_bound(args):
     started = time.perf_counter()
     poset = files.load(args.file)
-    holds = conjectures.gold_bound_holds(poset)
     cost = conjectures.sort_cost(poset)
     total = linext.count_extensions(poset)
+    holds = conjectures._gold_bound(total, cost)
     payload = {"holds": holds, "sort_cost": cost, "extensions": str(total)}
     if not _report(args, "gold-bound", poset, payload, started, total):
         print(f"C(P) = {cost}, e(P) = {total}, bound holds: {holds}")
@@ -255,8 +255,10 @@ def _cmd_lift_gpc(args):
     if witness is None:
         print("FAILURE: component has no gold-partition witness", file=sys.stderr)
         return EXIT_FAILURE
-    lifted = lexsum_mod.lift_gpc_witness(base, args.index, component, witness)
     spec = lexsum_mod.compose_at(base, args.index, component)
+    lifted = lexsum_mod.lift_witness(
+        spec.poset, spec.embed[args.index], component, witness
+    )
     payload = {
         "component_witness": witness.to_json_dict(),
         "lifted_witness": lifted.to_json_dict(),

@@ -259,7 +259,11 @@ def gold_bound_holds(poset):
     A = 2e - 2F(C-1) - F(C) is nonnegative and A**2 >= 5*F(C)**2.
     """
     cost = sort_cost(poset)
-    e = linext.count_extensions(poset)
+    return _gold_bound(linext.count_extensions(poset), cost)
+
+
+def _gold_bound(e, cost):
+    """``gold_bound_holds`` for a poset with e extensions and sort cost C."""
     fc, fc1 = _fib(cost), _fib(cost - 1)
     a = 2 * e - 2 * fc1 - fc
     return a >= 0 and a * a >= 5 * fc * fc

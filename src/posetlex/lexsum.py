@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import linext
 from .errors import (
@@ -147,49 +148,63 @@ class LocalityTable:
 def locality_table(base, i, component, cap=linext.DEFAULT_ENUM_CAP):
     """Materialize the class table of the sum and verify its shape.
 
-    One pass over L(sum) keys each extension by the order it induces on Q,
-    checking locality.  Then it checks that every key is a column of L(Q),
-    that the classes are equally sized with k * e(Q) = e(sum), and that the
-    row/column reconstruction from the block's labels is a bijection.
+    One depth-first walk over the ideals of the sum keys each extension by
+    the order in which it places the block of Q (its column), checking
+    locality as each element is placed and that the column is one of L(Q).
+    Then it checks that the classes are equally sized with k * e(Q) =
+    e(sum), and that the row/column reconstruction from the block's labels
+    is a bijection.
     """
     spec = compose_at(base, i, component)
     columns = tuple(g.order for g in linext.enumerate_extensions(component, cap))
-    localize = _localizer(spec, i)
     classes = {g: [] for g in columns}
-    extensions = linext.enumerate_extensions(spec.poset, cap)
-    for f in extensions:
-        column = localize(f.labels)
-        members = classes.get(column)
-        if members is None:
-            raise PosetError(f"restriction {column} is not a linear extension of Q")
-        members.append(f)
+    block = range(spec.embed[i][0], spec.embed[i][-1] + 1)
+    first, stop = block.start, block.stop
+    points = range(base.n)
+    below = sum(1 << spec.embed[j][0] for j in points if base.is_lt(j, i))
+    above = sum(1 << spec.embed[j][0] for j in points if base.is_lt(i, j))
+
+    def stray(f):
+        """Raise what the per-extension checks find wrong with f."""
+        column = _localizer(spec, i)(f.labels)
+        raise PosetError(f"restriction {column} is not a linear extension of Q")
+
+    # The walk sends the extensions that break locality, or whose column is
+    # not one of L(Q), to ``strays``; the first of them raises.  Giving the
+    # block's labels in f back along f's column returns f exactly when they
+    # increase along it: they are all placed once the column is complete.
+    strays = SimpleNamespace(append=stray)
+
+    def pick(column, labels):
+        members = classes.get(column, strays)
+        if members is not strays:
+            ranks = [labels[first + q] for q in column]
+            if ranks != sorted(ranks):
+                raise PosetError("row/column reconstruction failed")
+        return members
+
+    total = linext._walk(spec.poset, cap, pick, block, below, above)
     sizes = {g: len(fs) for g, fs in classes.items()}
     if len(set(sizes.values())) != 1:
         raise PosetError(f"unequal class sizes {sizes} falsify the class table")
     k = sizes[columns[0]]
-    total = len(extensions)
     if k * len(columns) != total:
         raise PosetError("class sizes do not tile L(sum)")
-    # Give each extension's block labels the reference column's order: that
-    # row must lie in the reference class.  The row differs from the
-    # extension only in the block, so giving the block its own column's
-    # order back must return the extension.
-    first, stop = spec.embed[i][0], spec.embed[i][-1] + 1
-    reference = tuple(map(columns[0].index, range(component.n)))  # q -> rank
-    rows = {f.labels for f in classes[columns[0]]}
-    for column, members in classes.items():
-        ranks = tuple(map(column.index, range(component.n)))
-        for f in members:
-            labels = f.labels
-            head, tail = labels[:first], labels[stop:]
-            slots = sorted(labels[first:stop])
-            if head + tuple(map(slots.__getitem__, reference)) + tail not in rows:
+    # Giving f's block labels the reference column's order yields a row of
+    # the reference class exactly when f's labels outside the block equal
+    # those of a reference member.  The walk lists every class in one order
+    # of those labels: where two members of a class first part, it takes a
+    # block element before an outside one exactly when the outside one
+    # follows the block in index order, whichever block element it is.  So
+    # f's partner can only be the reference member at f's own position.
+    reference = classes[columns[0]]
+    for column in columns:
+        for f, g in zip(classes[column], reference):
+            f, g = f.labels, g.labels
+            if f[:first] != g[:first] or f[stop:] != g[stop:]:
                 raise PosetError("reconstruction left the reference class")
-            if head + tuple(map(slots.__getitem__, ranks)) + tail != labels:
-                raise PosetError("row/column reconstruction failed")
-    return LocalityTable(
-        spec, columns, {g: tuple(fs) for g, fs in classes.items()}, k, total
-    )
+        classes[column] = tuple(classes[column])
+    return LocalityTable(spec, columns, classes, k, total)
 
 
 def verify_divisibility(base, components):

@@ -21,10 +21,11 @@ from .errors import CapExceededError, ChainError
 from .poset import Poset
 
 #: Default ceiling on e(P) for explicit enumeration of L(P), sized from
-#: memory: ``enumerate_extensions`` holds about 193 bytes per extension and
-#: ``locality_table`` peaks at about 250 per extension of the sum
-#: (tracemalloc, 40,320 extensions of an 8-point antichain), so a call at
-#: the cap needs about 200-250 MB.
+#: memory: ``enumerate_extensions`` holds about 193 bytes per extension of
+#: an 8-point antichain, and ``locality_table`` peaks at 201-222 bytes per
+#: extension of the sums A_7 o_0 A_2 and A_2 o_0 A_7 (tracemalloc, 40,320
+#: extensions each, A_m the m-point antichain), so a call at the cap needs
+#: about 190-220 MB.
 DEFAULT_ENUM_CAP = 10**6
 
 
@@ -99,6 +100,24 @@ def enumerate_extensions(poset, cap=DEFAULT_ENUM_CAP):
     index order, so the output order is reproducible.  Raises
     CapExceededError when e(P) exceeds ``cap``.
     """
+    out = []
+    _walk(poset, cap, lambda column, labels: out)
+    return out
+
+
+def _walk(poset, cap, pick, block=range(0), below=0, above=0):
+    """The depth-first walk over the ideals of P behind enumerate_extensions.
+
+    The walk records the order in which it places the elements of ``block``
+    (a range of elements), as local indices: the block's column.  When the
+    column is complete, ``pick(column, labels)`` returns the list that takes
+    every extension below, ``labels`` holding the ranks given so far; with
+    an empty block ``pick((), labels)`` takes all of L(P).  Placing a block
+    element before all of ``below`` (a mask), or an element of ``above``
+    before the whole block, breaks locality: ``pick(None, labels)`` then
+    takes the extensions below.  Returns e(P), counted before anything is
+    placed; raises CapExceededError then when it exceeds ``cap``.
+    """
     total = count_extensions(poset)
     if total > cap:
         raise CapExceededError(f"e(P) = {total} exceeds enumeration cap {cap}")
@@ -106,24 +125,42 @@ def enumerate_extensions(poset, cap=DEFAULT_ENUM_CAP):
     preds = [poset.below_mask(e) for e in range(n)]
     addable = {}  # ideal -> its minimal outside elements, ascending
     labels = [0] * n
-    out = []
+    column = []
 
-    def rec(ideal, rank):
+    def key(e, ideal):
+        """The list for extensions through e, placed while the block is open."""
+        if e not in block:
+            return pick(None, labels) if above >> e & 1 else None
+        column.append(e - block.start)
+        if below & ~ideal:
+            return pick(None, labels)
+        return pick(tuple(column), labels) if len(column) == len(block) else None
+
+    def rec(ideal, rank, members):
         free = addable.get(ideal)
         if free is None:
             free = addable[ideal] = tuple(
                 e for e in range(n) if not ideal >> e & 1 and not preds[e] & ~ideal
             )
         if rank == n:  # one element is left: the leaf
-            labels[free[0]] = n
-            out.append(LinearExtension(tuple(labels)))
+            e = free[0]
+            labels[e] = n
+            if members is None:  # e closes the block
+                members = key(e, ideal)
+                column.pop()
+            members.append(LinearExtension(tuple(labels)))
             return
         for e in free:
             labels[e] = rank
-            rec(ideal | 1 << e, rank + 1)
+            if members is not None:
+                rec(ideal | 1 << e, rank + 1, members)
+            else:
+                rec(ideal | 1 << e, rank + 1, key(e, ideal))
+                if e in block:
+                    column.pop()
 
-    rec(0, 1)
-    return out
+    rec(0, 1, None if block else pick((), labels))
+    return total
 
 
 def pair_counts(poset):

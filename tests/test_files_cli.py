@@ -78,6 +78,8 @@ def test_cli_count_json(capsys):
         pytest.param("enum", "p163425.poset", 1, "15", id="enum"),
         # pair_counts reads e(P) off its own forward pass
         pytest.param("probs", "table1.poset", 0, "42", id="probs"),
+        # the bound is decided from the e(P) the report prints
+        pytest.param("gold-bound", "n.poset", 1, "5", id="gold-bound"),
         # two enumerations (Q and the sum), each checking its cap with one
         # count; divisibility is read off the class table
         pytest.param(

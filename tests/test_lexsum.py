@@ -1,5 +1,6 @@
 """Lexicographic sums: construction, locality, lifting, gap profiles."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from posetlex.errors import (
     PosetError,
     RemarkViolationError,
 )
+from posetlex import lexsum
 from posetlex.generate import random_nonchain_poset, random_poset
 from posetlex.linext import LinearExtension
 
@@ -112,6 +114,10 @@ def _triples():
 @settings(max_examples=100, deadline=None)
 @given(_triples())
 @example((N_POSET, 0, Poset.from_relations(3, [(1, 2)])))
+@example((Poset.antichain(5), 0, Poset.antichain(2)))  # large k: 360 per class
+@example((N_POSET, 3, Poset.from_relations(3, [(0, 1)])))  # block on the last point
+@example((N_POSET, 1, Poset.antichain(1)))  # one column
+@example((N_POSET, 2, Poset.chain(3)))  # one column, block of three
 def test_locality_table_shape(triple):
     base, i, q = triple
     table = locality_table(base, i, q)
@@ -122,6 +128,33 @@ def test_locality_table_shape(triple):
         assert [f.order for f in table.classes[column]] == classes[column]
         assert len(table.classes[column]) == table.k
     assert table.k * len(columns) == table.total == brute_count(table.spec.poset)
+
+
+@pytest.mark.parametrize(
+    "dropped, side",
+    [((2, 3), "component 2 not above component 1"), ((0, 2), "component 0 not below component 1")],
+)
+def test_locality_table_checks_locality(monkeypatch, dropped, side):
+    """A sum missing one relation between the block and another component
+    has extensions that break locality: the table names the first."""
+    base, component = Poset.chain(3), Poset.antichain(2)  # sum: 0 < {1, 2} < 3
+    spec = compose_at(base, 1, component)
+    pairs = [pair for pair in spec.poset.relation_pairs() if pair != dropped]
+    broken = dataclasses.replace(spec, poset=Poset.from_relations(4, pairs))
+    monkeypatch.setattr(lexsum, "compose_at", lambda *args: broken)
+    with pytest.raises(RemarkViolationError, match=f"^{side}$"):
+        locality_table(base, 1, component)
+
+
+def test_locality_table_checks_columns(monkeypatch):
+    """A sum missing a relation of Q inside the block has a column that is
+    not a linear extension of Q."""
+    base, component = Poset.chain(2), Poset.chain(2)  # sum: 0 < 1 < 2
+    spec = compose_at(base, 1, component)
+    broken = dataclasses.replace(spec, poset=Poset.from_relations(3, [(0, 1), (0, 2)]))
+    monkeypatch.setattr(lexsum, "compose_at", lambda *args: broken)
+    with pytest.raises(PosetError, match=r"^restriction \(1, 0\) is not a linear extension of Q$"):
+        locality_table(base, 1, component)
 
 
 def test_divisibility_product():
