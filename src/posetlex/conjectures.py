@@ -27,8 +27,6 @@ from .errors import ChainError, SizeCapError
 #: Game-tree size cap for exact sorting cost.
 SORT_COST_CAP = 8
 
-_sort_cost_memo = {}
-
 
 @dataclass(frozen=True)
 class GpcBranch:
@@ -73,12 +71,14 @@ def _partition_ok(t0, t1, t2, strict):
     return t0 > t1 + t2 if strict else t0 >= t1 + t2
 
 
-def worst_count(poset, c, d):
-    """e of the larger outcome of comparing c with d: the t2 that pair leaves."""
-    return max(
-        linext.count_extensions(poset.with_relation(c, d)),
-        linext.count_extensions(poset.with_relation(d, c)),
-    )
+def worst_count(poset, total, c, d):
+    """e of the larger outcome of comparing c with d: the t2 that pair leaves.
+
+    ``total`` is e(poset).  Every extension puts c before d or d before c,
+    so one count of the first outcome gives both.
+    """
+    before = linext.count_extensions(poset.with_relation(c, d))
+    return max(before, total - before)
 
 
 def _least_t2(t1, strict):
@@ -168,22 +168,25 @@ def check_gpc(poset, mode="adaptive", strict=False):
 def verify_gpc_witness(poset, witness):
     """Recount every t-value of a witness from scratch and recheck it.
 
-    The recounts run the extension count on each outcome poset, not the
-    pair-count pass the search reads, so they check it independently.
+    The two branches must orient the first pair one each way.  The
+    recounts run the extension count on each outcome poset, not the
+    pair-count pass the search reads, so they check it independently; a
+    second pair costs one count, its other outcome being the rest of t1.
 
     A branch with no second pair is accepted when the outcome is a chain
     (the vacuous count), or when some actual second comparison achieves at
     most the recorded t2 -- the form lifted witnesses take on branches
     whose component part is already sorted.
     """
+    a, b = witness.first
+    if sorted(branch.result for branch in witness.branches) != sorted([(a, b), (b, a)]):
+        return False
+    if poset.is_lt(a, b) or poset.is_lt(b, a):
+        return False
     if linext.count_extensions(poset) != witness.t0:
         return False
-    seen = set()
     for branch in witness.branches:
         a, b = branch.result
-        seen.add(frozenset(branch.result))
-        if poset.is_lt(a, b) or poset.is_lt(b, a):
-            return False
         outcome = poset.with_relation(a, b)
         if linext.count_extensions(outcome) != branch.t1:
             return False
@@ -191,55 +194,77 @@ def verify_gpc_witness(poset, witness):
             if outcome.is_chain():
                 if branch.t2 != (0 if witness.strict else 1):
                     return False
-            elif not _second_achievable(outcome, branch.t2):
+            elif not _second_achievable(outcome, branch.t1, branch.t2):
                 return False
             t2 = branch.t2
         else:
             c, d = branch.second
             if outcome.is_lt(c, d) or outcome.is_lt(d, c):
                 return False
-            t2 = worst_count(outcome, c, d)
+            t2 = worst_count(outcome, branch.t1, c, d)
             if t2 != branch.t2:
                 return False
         if not _partition_ok(witness.t0, branch.t1, t2, witness.strict):
             return False
-    return len(seen) == 1 and frozenset(witness.first) in seen
+    return True
 
 
-def _second_achievable(outcome, budget):
-    """Does some comparison in ``outcome`` leave at most ``budget`` either way?"""
+def _second_achievable(outcome, total, budget):
+    """Does some comparison in ``outcome`` (e = total) leave at most ``budget``?"""
     return any(
-        worst_count(outcome, c, d) <= budget for c, d in outcome.incomparable_pairs()
+        worst_count(outcome, total, c, d) <= budget
+        for c, d in outcome.incomparable_pairs()
     )
 
 
 def sort_cost(poset):
     """Minimum worst-case comparisons to sort the poset to a chain.
 
-    Exact minimax over comparison game trees, memoized up to isomorphism.
+    Exact minimax over comparison game trees, searched branch-and-bound
+    (Peczarski, "New results in minimum-comparison sorting", Algorithmica
+    40, 2004).  A node reads e and, for every pair, the larger outcome t
+    off its pair-count matrix, and tries pairs by ascending t: a pair costs
+    at least 1 + ceil(log2 t), so the scan stops once that reaches the best
+    cost found, or once the best meets the node's own bound ceil(log2 e).
+    The larger outcome is solved first, and the smaller only when the pair
+    can still win.  Two closed forms end the search: e <= 3 costs e - 1,
+    and a most balanced pair with t <= 3 gives exactly t.  Every other
+    node's exact cost is memoized up to isomorphism, for this call only.
     """
     if poset.n > SORT_COST_CAP:
         raise SizeCapError(f"sort_cost capped at {SORT_COST_CAP} elements")
-    return _sort_cost(poset)
+    memo = {}
 
+    def outcome(node, a, b, e):
+        """The cost of ``node`` + a<b, which has e extensions."""
+        return e - 1 if e <= 3 else search(node.with_relation(a, b), e, False)
 
-def _sort_cost(poset):
-    if poset.is_chain():
-        return 0
-    key = poset.canonical_key()
-    hit = _sort_cost_memo.get(key)
-    if hit is not None:
-        return hit
-    best = None
-    for a, b in poset.incomparable_pairs():
-        worst = 1 + max(
-            _sort_cost(poset.with_relation(a, b)),
-            _sort_cost(poset.with_relation(b, a)),
+    def search(node, e, root):
+        counts = linext.pair_counts(node).counts
+        pairs = sorted(
+            (max(counts[a][b], counts[b][a]), a, b) for a, b in node.incomparable_pairs()
         )
-        if best is None or worst < best:
-            best = worst
-    _sort_cost_memo[key] = best
-    return best
+        if pairs[0][0] <= 3:
+            return pairs[0][0]
+        key = None if root else node.canonical_key()
+        if key in memo:
+            return memo[key]
+        floor = (e - 1).bit_length()
+        best = e  # each comparison removes an extension, so e - 1 suffice
+        for t, a, b in pairs:
+            if 1 + (t - 1).bit_length() >= best:
+                break
+            big, small = ((a, b), (b, a)) if counts[a][b] == t else ((b, a), (a, b))
+            worst = 1 + outcome(node, *big, t)
+            if worst < best:
+                best = min(best, max(worst, 1 + outcome(node, *small, e - t)))
+                if best == floor:
+                    break
+        memo[key] = best
+        return best
+
+    total = linext.pair_counts(poset).total
+    return total - 1 if total <= 3 else search(poset, total, True)
 
 
 def _fib(k):

@@ -21,15 +21,15 @@ from .errors import CapExceededError, ChainError
 from .poset import Poset
 
 #: Default ceiling on e(P) for explicit enumeration of L(P), sized from
-#: memory: ``enumerate_extensions`` holds about 193 bytes per extension of
-#: an 8-point antichain, and ``locality_table`` peaks at 201-222 bytes per
+#: memory: ``enumerate_extensions`` holds about 153 bytes per extension of
+#: an 8-point antichain, and ``locality_table`` peaks at 161-182 bytes per
 #: extension of the sums A_7 o_0 A_2 and A_2 o_0 A_7 (tracemalloc, 40,320
 #: extensions each, A_m the m-point antichain), so a call at the cap needs
-#: about 190-220 MB.
+#: about 150-180 MB.
 DEFAULT_ENUM_CAP = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearExtension:
     """A bijective order-preserving labeling of a poset into 1..n.
 

@@ -7,7 +7,7 @@ every bijection, labeled posets from one-point extension by all
 closed subsets, and autonomous sets from testing all C(n, k) subsets.
 Pair counts, delta, balanced pairs, gold-partition witnesses and the
 class table of a lexicographic sum are derived from those filtered
-extensions.
+extensions; the sorting cost is the plain minimax over every comparison.
 """
 
 import functools
@@ -140,6 +140,29 @@ def brute_gpc(poset, mode, strict):
             if None not in branches:
                 return GpcWitness((a, b), t0, branches, strict)
     return None
+
+
+def brute_sort_cost(poset, memo=None):
+    """Minimum worst-case comparisons to sort ``poset``: the unbounded minimax.
+
+    Every incomparable pair is tried at every node, both outcomes solved in
+    full, memoized by canonical key.  The memo lives for this call only,
+    unless the caller passes one dict to share between its calls.
+    """
+    memo = {} if memo is None else memo
+
+    def cost(p):
+        if p.is_chain():
+            return 0
+        key = p.canonical_key()
+        if key not in memo:
+            memo[key] = min(
+                1 + max(cost(p.with_relation(a, b)), cost(p.with_relation(b, a)))
+                for a, b in p.incomparable_pairs()
+            )
+        return memo[key]
+
+    return cost(poset)
 
 
 def _closed_subsets(n, masks):

@@ -1,5 +1,6 @@
 """Gold partition witnesses, sorting cost, and the golden-ratio bound."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from posetlex import (
     Poset,
     check_gpc,
+    conjectures,
     files,
     gold_bound_holds,
     linext,
@@ -17,8 +19,9 @@ from posetlex import (
 )
 from posetlex.conjectures import GpcBranch, GpcWitness, information_lower_bound, _fib
 from posetlex.errors import ChainError, SizeCapError
+from posetlex.generate import poset_classes, random_poset
 
-from conftest import POSETS_DIR, brute_gpc, labeled_posets, posets
+from conftest import POSETS_DIR, brute_gpc, brute_sort_cost, labeled_posets, posets
 
 
 def test_chain_is_rejected():
@@ -124,6 +127,10 @@ def test_verify_rejects_tampering(point_and_chain):
     assert not verify_gpc_witness(point_and_chain, bad_t1)
     mismatched = GpcWitness((0, 2), w.t0, w.branches, w.strict)
     assert not verify_gpc_witness(point_and_chain, mismatched)
+    # each branch passes alone, but the other orientation goes unchecked
+    one_sided = GpcWitness(w.first, w.t0, (b, b), w.strict)
+    assert verify_gpc_witness(point_and_chain, w)
+    assert not verify_gpc_witness(point_and_chain, one_sided)
 
 
 def test_verify_rejects_comparable_first_pair():
@@ -143,11 +150,54 @@ def test_sort_cost_basics():
     assert sort_cost(Poset.antichain(3)) == 3
     # 5 unknown elements: the classic 7-comparison bound is optimal
     assert sort_cost(Poset.antichain(5)) == 7
+    # S(6..8) from cold calls; the unpruned minimax took minutes on 8
+    assert [sort_cost(Poset.antichain(n)) for n in (6, 7, 8)] == [10, 13, 16]
 
 
 def test_sort_cost_cap():
     with pytest.raises(SizeCapError):
         sort_cost(Poset.antichain(9))
+
+
+@settings(max_examples=25, deadline=None)
+@given(posets(6))
+def test_sort_cost_matches_minimax(poset):
+    assert sort_cost(poset) == brute_sort_cost(poset)
+
+
+def test_sort_cost_matches_minimax_on_every_class():
+    memo = {}  # one oracle search serves every class
+    for p, _ in poset_classes(6):
+        assert sort_cost(p) == brute_sort_cost(p, memo)
+
+
+def test_sort_cost_matches_minimax_on_seeded_orders():
+    # 8-point orders are compared only where the oracle's unpruned search is
+    # quick: it takes seconds from a few hundred extensions on
+    rng = random.Random(8128)
+    sizes = []
+    for n in (7,) * 4 + (8,) * 8:
+        p = random_poset(n, rng)
+        if n == 7 or linext.count_extensions(p) <= 120:
+            assert sort_cost(p) == brute_sort_cost(p)
+            sizes.append(n)
+    assert sizes.count(8) >= 3
+
+
+def test_sort_cost_keeps_no_state(monkeypatch):
+    calls = []
+    key = Poset.canonical_key
+
+    def counted(poset):
+        calls.append(poset)
+        return key(poset)
+
+    monkeypatch.setattr(Poset, "canonical_key", counted)
+    assert sort_cost(Poset.antichain(6)) == 10
+    first = len(calls)
+    assert sort_cost(Poset.antichain(6)) == 10
+    assert 0 < first == len(calls) - first
+    assert not hasattr(conjectures, "_sort_cost_memo")
 
 
 def test_fibonacci_helper():

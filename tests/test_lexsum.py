@@ -189,6 +189,28 @@ def test_lift_witness_exact_multiples(n_poset):
     assert verify_gpc_witness(spec.poset, lifted)
 
 
+def test_lift_witness_counts_once_per_comparison(monkeypatch, n_poset):
+    """Each comparison is counted in one orientation, the other is the rest."""
+    q = Poset.antichain(3)
+    w = check_gpc(q)
+    assert all(branch.second is not None for branch in w.branches)
+    spec = compose_at(n_poset, 0, q)
+    calls = []
+
+    def counted(poset):
+        calls.append(poset)
+        return count_extensions(poset)
+
+    monkeypatch.setattr(lexsum.linext, "count_extensions", counted)
+    lifted = lift_witness(spec.poset, spec.embed[0], q, w)
+    # re-verification on Q: e(Q), t1 of each branch, and one orientation of
+    # each second pair; on the sum: e(sum), the first branch's t1, and one
+    # orientation of each second pair
+    assert len(calls) == 5 + 4
+    assert calls.count(q) == 1 and calls.count(spec.poset) == 1
+    assert lifted.t0 == count_extensions(spec.poset)
+
+
 def test_lift_rejects_invalid_witness(n_poset):
     q = Poset.from_relations(3, [(1, 2)])
     w = check_gpc(q)
