@@ -93,23 +93,29 @@ def _least_t2(t1, strict):
     return (t1 + 1) // 2
 
 
-def _admissible_seconds(outcome, t0, t1, strict):
+def _admissible_seconds(matrix, t0, strict):
     """{second: t2} for every second comparison satisfying the inequality.
 
-    Pairs come in ascending index order.  For chains the second comparison
-    is vacuous, keyed None: it leaves the one surviving extension, so
-    t2 = 1 (0 under the strict reading, which shifts every vacuous count
-    down by one).
+    ``matrix`` is the pair-count matrix of one outcome, t1 = matrix.total.
+    The pairs c < d with 0 < counts[c][d] < t1 are the outcome's
+    incomparable pairs, taken in ascending index order, and such a pair
+    leaves t2 = max(counts[c][d], t1 - counts[c][d]).  An outcome with
+    t1 = 1 is a chain and its second comparison is vacuous, keyed None: it
+    leaves the one surviving extension, so t2 = 1 (0 under the strict
+    reading, which shifts every vacuous count down by one).
     """
-    if outcome.is_chain():
+    t1 = matrix.total
+    if t1 == 1:
         t2 = _least_t2(t1, strict)
         return {None: t2} if _partition_ok(t0, t1, t2, strict) else {}
-    counts = linext.pair_counts(outcome).counts
     seconds = {}
-    for c, d in outcome.incomparable_pairs():
-        t2 = max(counts[c][d], counts[d][c])
-        if _partition_ok(t0, t1, t2, strict):
-            seconds[(c, d)] = t2
+    for c, row in enumerate(matrix.counts):
+        for d in range(c + 1, len(row)):
+            before = row[d]
+            if 0 < before < t1:
+                t2 = max(before, t1 - before)
+                if _partition_ok(t0, t1, t2, strict):
+                    seconds[(c, d)] = t2
     return seconds
 
 
@@ -124,7 +130,9 @@ def check_gpc(poset, mode="adaptive", strict=False):
     is read off the pair-count matrices of P and of its outcome posets.
     A first pair one of whose outcomes has t0 < t1 + ceil(t1/2) cannot
     pass, since every second pair leaves t2 >= ceil(t1/2), so it is
-    skipped without a pass over that outcome.
+    skipped without a pass over that outcome.  Otherwise one pass is run,
+    over P + a<b; the matrix of P + b<a is P's less that one, and is taken
+    only when the first outcome admits a second pair.
     """
     if mode not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -137,13 +145,14 @@ def check_gpc(poset, mode="adaptive", strict=False):
         t1 = max(matrix.counts[a][b], matrix.counts[b][a])
         if not _partition_ok(t0, t1, _least_t2(t1, strict), strict):
             continue  # no second pair can satisfy the inequality
+        a_first = linext.pair_counts(poset.with_relation(a, b))
         options = []
-        for x, y in ((a, b), (b, a)):
-            t1 = matrix.counts[x][y]
-            seconds = _admissible_seconds(poset.with_relation(x, y), t0, t1, strict)
+        for result in ((a, b), (b, a)):
+            outcome = a_first if result == (a, b) else matrix - a_first
+            seconds = _admissible_seconds(outcome, t0, strict)
             if not seconds:
                 break
-            options.append(((x, y), t1, seconds))
+            options.append((result, outcome.total, seconds))
         if len(options) < 2:
             continue
         if mode == "adaptive":
@@ -169,9 +178,11 @@ def verify_gpc_witness(poset, witness):
     """Recount every t-value of a witness from scratch and recheck it.
 
     The two branches must orient the first pair one each way.  The
-    recounts run the extension count on each outcome poset, not the
-    pair-count pass the search reads, so they check it independently; a
-    second pair costs one count, its other outcome being the rest of t1.
+    recounts run the extension count on P and on the outcome posets, not
+    the pair-count pass the search reads, so they check it independently.
+    Each comparison costs one count, its other outcome being the rest: the
+    second branch's t1 is t0 less the first's, and a second pair's other
+    outcome is the rest of t1.
 
     A branch with no second pair is accepted when the outcome is a chain
     (the vacuous count), or when some actual second comparison achieves at
@@ -185,10 +196,11 @@ def verify_gpc_witness(poset, witness):
         return False
     if linext.count_extensions(poset) != witness.t0:
         return False
+    t1 = None
     for branch in witness.branches:
-        a, b = branch.result
-        outcome = poset.with_relation(a, b)
-        if linext.count_extensions(outcome) != branch.t1:
+        outcome = poset.with_relation(*branch.result)
+        t1 = linext.count_extensions(outcome) if t1 is None else witness.t0 - t1
+        if t1 != branch.t1:
             return False
         if branch.second is None:
             if outcome.is_chain():
@@ -229,7 +241,9 @@ def sort_cost(poset):
     The larger outcome is solved first, and the smaller only when the pair
     can still win.  Two closed forms end the search: e <= 3 costs e - 1,
     and a most balanced pair with t <= 3 gives exactly t.  Every other
-    node's exact cost is memoized up to isomorphism, for this call only.
+    node's exact cost is memoized up to isomorphism, for this call only; a
+    node with e >= 7 cannot end in a closed form, so it reads the memo
+    before its pair-count pass.
     """
     if poset.n > SORT_COST_CAP:
         raise SizeCapError(f"sort_cost capped at {SORT_COST_CAP} elements")
@@ -240,15 +254,22 @@ def sort_cost(poset):
         return e - 1 if e <= 3 else search(node.with_relation(a, b), e, False)
 
     def search(node, e, root):
+        # From e = 7 on every pair leaves t >= ceil(e/2) >= 4, so no closed
+        # form applies: the memo is read before the node's pass.  The root
+        # is never keyed.
+        key = None if root or e < 7 else node.canonical_key()
+        if key in memo:
+            return memo[key]
         counts = linext.pair_counts(node).counts
         pairs = sorted(
             (max(counts[a][b], counts[b][a]), a, b) for a, b in node.incomparable_pairs()
         )
         if pairs[0][0] <= 3:
             return pairs[0][0]
-        key = None if root else node.canonical_key()
-        if key in memo:
-            return memo[key]
+        if key is None and not root:
+            key = node.canonical_key()
+            if key in memo:
+                return memo[key]
         floor = (e - 1).bit_length()
         best = e  # each comparison removes an extension, so e - 1 suffice
         for t, a, b in pairs:
@@ -260,7 +281,8 @@ def sort_cost(poset):
                 best = min(best, max(worst, 1 + outcome(node, *small, e - t)))
                 if best == floor:
                     break
-        memo[key] = best
+        if not root:
+            memo[key] = best
         return best
 
     total = linext.pair_counts(poset).total

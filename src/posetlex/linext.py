@@ -8,8 +8,10 @@ from a single pass over the same lattice: a forward pass counts
 down(I) = e(P|I), a backward pass up(I) = e(P|rest), and #(x before y) is
 the sum of down(I)*up(I+x) over the ideals I that x extends with y outside
 (De Loof, De Meyer & De Baets, "Exploiting the lattice of ideals
-representation of a poset", Fundam. Inform. 71, 2006).  All probabilities
-are `fractions.Fraction`; floats never enter a comparison.
+representation of a poset", Fundam. Inform. 71, 2006).  The sum is taken
+for half the pairs, x < y by index; every extension puts x before y or y
+before x, so #(y before x) is the rest of e(P).  All probabilities are
+`fractions.Fraction`; floats never enter a comparison.
 """
 
 from __future__ import annotations
@@ -63,25 +65,39 @@ class PairCountMatrix:
     counts: tuple
     total: int
 
+    def __sub__(self, part):
+        """The matrix of P + b<a, from this one of P and ``part`` of P + a<b.
+
+        Every extension of P puts a before b or b before a, so each count
+        of P, e(P) included, is the sum of the two outcomes' counts.
+        """
+        return PairCountMatrix(
+            tuple(
+                tuple(whole - some for whole, some in zip(row, part_row))
+                for row, part_row in zip(self.counts, part.counts)
+            ),
+            self.total - part.total,
+        )
+
 
 def _forward(poset):
-    """The forward pass: for k = 0..n, the level {ideal of size k: e(P|ideal)}."""
-    n = poset.n
-    preds = [poset.below_mask(e) for e in range(n)]
-    full = (1 << n) - 1
+    """The forward pass: for k = 0..n, the level {ideal of size k: e(P|ideal)}.
+
+    x extends an ideal exactly when the ideal holds the elements below x
+    but not x: one mask test against below(x) | x.  Each level lists its
+    ideals in a fixed order, elements tried in ascending index.
+    """
+    steps = [(poset.below_mask(x), poset.below_mask(x) | 1 << x) for x in range(poset.n)]
     level = {0: 1}
     yield level
-    for _ in range(n):
+    for _ in range(poset.n):
         nxt = {}
+        get = nxt.get
         for ideal, ways in level.items():
-            free = full & ~ideal
-            while free:
-                low = free & -free
-                free ^= low
-                if preds[low.bit_length() - 1] & ~ideal:
-                    continue
-                grown = ideal | low
-                nxt[grown] = nxt.get(grown, 0) + ways
+            for below, mask in steps:
+                if ideal & mask == below:
+                    grown = ideal | mask
+                    nxt[grown] = get(grown, 0) + ways
         level = nxt
         yield level
 
@@ -169,8 +185,9 @@ def pair_counts(poset):
     The forward pass gives down(I) = e(P|I) for every ideal I; a backward
     pass over the same ideals gives up(I) = e(P|rest).  The extensions that
     place x right after exactly the ideal I number down(I)*up(I+x), and they
-    put x before every y outside I+x.  Only incomparable y need the sum:
-    every extension puts x before the elements above it.
+    put x before every y outside I+x.  The sum runs only over incomparable
+    y > x: every extension puts x before the elements above it, and
+    #(y before x) is e(P) - #(x before y).
 
     The matrix is computed once per Poset instance: the first call keeps
     it on the poset and later calls return that same (immutable) value.
@@ -178,36 +195,42 @@ def pair_counts(poset):
     if poset._pair_counts is not None:
         return poset._pair_counts
     n = poset.n
-    preds = [poset.below_mask(e) for e in range(n)]
-    incomparable = [poset.incomparable_mask(e) for e in range(n)]
     full = (1 << n) - 1
     down = {}
     for level in _forward(poset):
         down.update(level)
     total = down[full]
-    up = {full: 1}
     counts = [[total if poset.is_lt(x, y) else 0 for y in range(n)] for x in range(n)]
-    for ideal, ways in reversed(down.items()):
-        rest = full & ~ideal
-        free = rest
+    steps = [
+        (
+            poset.below_mask(x),
+            poset.below_mask(x) | 1 << x,
+            counts[x],
+            poset.incomparable_mask(x) >> (x + 1) << (x + 1),
+        )
+        for x in range(n)
+    ]
+    up = {full: 1}
+    ideals = reversed(down.items())
+    next(ideals)  # the full ideal: nothing is left to place
+    for ideal, ways in ideals:
+        rest = full ^ ideal
         after = 0
-        while free:
-            low = free & -free
-            free ^= low
-            x = low.bit_length() - 1
-            if preds[x] & ~ideal:
+        for below, mask, row, later in steps:
+            if ideal & mask != below:
                 continue
-            tail = up[ideal | low]
+            tail = up[ideal | mask]
             after += tail
+            later &= rest
             weight = ways * tail
-            row = counts[x]
-            later = rest & incomparable[x]
             while later:
                 bit = later & -later
                 later ^= bit
                 row[bit.bit_length() - 1] += weight
-        if rest:
-            up[ideal] = after
+        up[ideal] = after
+    for x in range(n):
+        for y in range(x + 1, n):
+            counts[y][x] = total - counts[x][y]
     poset._pair_counts = PairCountMatrix(tuple(tuple(row) for row in counts), total)
     return poset._pair_counts
 

@@ -19,7 +19,7 @@ from posetlex import (
 )
 from posetlex.conjectures import GpcBranch, GpcWitness, information_lower_bound, _fib
 from posetlex.errors import ChainError, SizeCapError
-from posetlex.generate import poset_classes, random_poset
+from posetlex.generate import poset_classes, random_nonchain_poset, random_poset
 
 from conftest import POSETS_DIR, brute_gpc, brute_sort_cost, labeled_posets, posets
 
@@ -76,9 +76,12 @@ def test_witness_matches_reference_search(poset):
 @pytest.mark.parametrize(
     "name, passes",
     [
-        # the unpruned search ran 4 outcome passes on p163425, 3 on example19
-        ("p163425", 2),
-        ("example19", 2),
+        # the unpruned search ran 4 outcome passes on p163425, 3 on example19;
+        # the balance bound left 2 on each, one per orientation of the
+        # witness's first pair, and the second orientation is now P's
+        # matrix less the first's
+        ("p163425", 1),
+        ("example19", 1),
     ],
 )
 @pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])
@@ -96,6 +99,38 @@ def test_balance_bound_skips_outcome_passes(monkeypatch, name, passes, mode):
     witness = check_gpc(poset, mode=mode)
     assert witness is not None and verify_gpc_witness(poset, witness)
     assert len(outcomes) == passes
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])
+def test_one_outcome_pass_per_first_pair(monkeypatch, mode):
+    """Each first pair the balance bound admits costs one pass, over P + a<b."""
+    rng = random.Random(31)
+    outcomes = []
+    pair_counts = linext.pair_counts
+
+    def counted(p):
+        outcomes.append(p)
+        return pair_counts(p)
+
+    monkeypatch.setattr(linext, "pair_counts", counted)
+    for n in (4, 5, 6, 7, 8):
+        for _ in range(6):
+            poset = random_nonchain_poset(n, rng)
+            matrix = pair_counts(poset)
+            outcomes.clear()
+            witness = check_gpc(poset, mode=mode)
+            assert outcomes.pop(0) is poset
+            pairs = poset.incomparable_pairs()
+            if witness is not None:
+                pairs = pairs[: pairs.index(witness.first) + 1]
+            larger = [max(matrix.counts[a][b], matrix.counts[b][a]) for a, b in pairs]
+            evaluated = [
+                pair
+                for pair, t1 in zip(pairs, larger)
+                if matrix.total >= t1 + (t1 + 1) // 2
+            ]
+            assert len(evaluated) >= 1
+            assert outcomes == [poset.with_relation(a, b) for a, b in evaluated]
 
 
 def test_nonadaptive_implies_adaptive():
@@ -131,6 +166,13 @@ def test_verify_rejects_tampering(point_and_chain):
     one_sided = GpcWitness(w.first, w.t0, (b, b), w.strict)
     assert verify_gpc_witness(point_and_chain, w)
     assert not verify_gpc_witness(point_and_chain, one_sided)
+    # the second branch's t1 is checked as t0 less the first's; 3 >= 1 + 1
+    # would hold, and its second pair leaves max(1, 1 - 1) = 1 = t2
+    c = w.branches[1]
+    assert (c.t1, c.t2) == (2, 1)
+    forged_second = GpcBranch(c.result, c.t1 - 1, c.second, c.t2)
+    bad_second_t1 = GpcWitness(w.first, w.t0, (b, forged_second), w.strict)
+    assert not verify_gpc_witness(point_and_chain, bad_second_t1)
 
 
 def test_verify_rejects_comparable_first_pair():
@@ -198,6 +240,21 @@ def test_sort_cost_keeps_no_state(monkeypatch):
     assert sort_cost(Poset.antichain(6)) == 10
     assert 0 < first == len(calls) - first
     assert not hasattr(conjectures, "_sort_cost_memo")
+
+
+def test_sort_cost_reads_memo_before_pass(monkeypatch):
+    """A node with e >= 7 always recurses, so a memo hit costs no pass."""
+    passes = []
+    forward = linext._forward
+
+    def counted(poset):
+        passes.append(poset)
+        return forward(poset)
+
+    monkeypatch.setattr(linext, "_forward", counted)
+    assert sort_cost(Poset.antichain(7)) == 13
+    # 71 when every node ran its pass before its memo lookup
+    assert len(passes) == 60
 
 
 def test_fibonacci_helper():

@@ -108,6 +108,56 @@ def test_pair_counts_match_brute_force(poset):
     assert [list(row) for row in matrix.counts] == brute_pair_counts(poset)
 
 
+@settings(max_examples=60, deadline=None)
+@given(posets(7))
+def test_outcome_matrix_is_the_complement(poset):
+    """P's matrix less that of P + a<b is the matrix of P + b<a."""
+    matrix = pair_counts(poset)
+    for a, b in poset.incomparable_pairs():
+        derived = matrix - pair_counts(poset.with_relation(a, b))
+        other = poset.with_relation(b, a)
+        assert derived.total == brute_count(other)
+        assert [list(row) for row in derived.counts] == brute_pair_counts(other)
+
+
+def test_pair_counts_on_wide_antichain():
+    matrix = pair_counts(Poset.antichain(12))
+    half = math.factorial(12) // 2
+    assert matrix.total == 2 * half
+    assert all(
+        matrix.counts[x][y] == (0 if x == y else half)
+        for x in range(12)
+        for y in range(12)
+    )
+
+
+def test_pair_counts_chain_beside_antichain():
+    """A 5-chain on the odd points beside 6 free even points: 11 points,
+    past the brute-force oracles.  A free point falls into one of the six
+    gaps of the chain, uniformly, so it precedes the i-th chain point
+    (from 0) in i + 1 of them."""
+    chain = [1, 3, 5, 7, 9]
+    free = [0, 2, 4, 6, 8, 10]
+    p = Poset.from_relations(11, list(zip(chain, chain[1:])))
+    matrix = pair_counts(p)
+    total = math.comb(11, 5) * math.factorial(6)
+    assert matrix.total == count_extensions(p) == total
+    for i, c in enumerate(chain):
+        for j, d in enumerate(chain):
+            assert matrix.counts[c][d] == (total if i < j else 0)
+        for f in free:
+            assert matrix.counts[f][c] == math.comb(11, 5) * math.factorial(5) * (i + 1)
+            assert matrix.counts[c][f] == total - matrix.counts[f][c]
+    for f in free:
+        for g in free:
+            assert matrix.counts[f][g] == (0 if f == g else total // 2)
+
+
+def test_count_wide_antichains():
+    for k in range(1, 15):
+        assert count_extensions(Poset.antichain(k)) == math.factorial(k)
+
+
 @settings(max_examples=80, deadline=None)
 @given(posets(6))
 def test_delta_and_balanced_pair_match_brute_force(poset):
