@@ -77,28 +77,37 @@ def test_witness_matches_reference_search(poset):
     "name, passes",
     [
         # the unpruned search ran 4 outcome passes on p163425, 3 on example19;
-        # the balance bound left 2 on each, one per orientation of the
-        # witness's first pair, and the second orientation is now P's
-        # matrix less the first's
-        ("p163425", 1),
-        ("example19", 1),
+        # the balance bound leaves 2 outcome matrices on each, one per
+        # orientation of the witness's first pair
+        ("p163425", 2),
+        ("example19", 2),
     ],
 )
 @pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])
 def test_balance_bound_skips_outcome_passes(monkeypatch, name, passes, mode):
+    """Of the outcome matrices left, one is a pass and the rest complements."""
     poset = files.load(POSETS_DIR / f"{name}.poset")
     outcomes = []
+    complements = []
     pair_counts = linext.pair_counts
+    subtract = linext.PairCountMatrix.__sub__
 
     def counted(p):
         if p is not poset:
             outcomes.append(p)
         return pair_counts(p)
 
+    def counted_sub(whole, part):
+        complements.append(part)
+        return subtract(whole, part)
+
     monkeypatch.setattr(linext, "pair_counts", counted)
+    monkeypatch.setattr(linext.PairCountMatrix, "__sub__", counted_sub)
     witness = check_gpc(poset, mode=mode)
     assert witness is not None and verify_gpc_witness(poset, witness)
-    assert len(outcomes) == passes
+    assert len(outcomes) + len(complements) == passes
+    # the one pass is over P + a<b for the witness's first pair (a, b)
+    assert outcomes == [poset.with_relation(*witness.first)]
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])
