@@ -319,19 +319,21 @@ def gap_profile(poset, point, cap=linext.DEFAULT_ENUM_CAP):
     and b.  Extensions sharing the reduced order form one class of k + 1.
     """
     n = poset.n
-    below = poset.below_mask(point)
-    above = poset.above_mask(point)
-    incomp = poset.incomparable_mask(point)
+    below = tuple(_bits(poset.below_mask(point)))
+    above = tuple(_bits(poset.above_mask(point)))
+    incomp = tuple(_bits(poset.incomparable_mask(point)))
     classes = {}
     total = 0
     for f in linext.enumerate_extensions(poset, cap):
         labels = f.labels
-        c = max((labels[s] for s in _bits(below)), default=0)
-        b = min((labels[r] for r in _bits(above)), default=n + 1)
-        k = sum(1 for t in _bits(incomp) if c < labels[t] < b)
-        reduced = tuple(
-            e for e in sorted(range(n), key=labels.__getitem__) if e != point
-        )
+        c = max([labels[s] for s in below], default=0)
+        b = min([labels[r] for r in above], default=n + 1)
+        k = len([t for t in incomp if c < labels[t] < b])
+        order = [0] * n
+        for e, rank in enumerate(labels):
+            order[rank - 1] = e
+        del order[labels[point] - 1]
+        reduced = tuple(order)
         total += 1
         seen = classes.get(reduced)
         if seen is None:

@@ -200,7 +200,7 @@ def pair_counts(poset):
     for level in _forward(poset):
         down.update(level)
     total = down[full]
-    counts = [[total if poset.is_lt(x, y) else 0 for y in range(n)] for x in range(n)]
+    counts = [[total if row >> y & 1 else 0 for y in range(n)] for row in poset.lt]
     steps = [
         (
             poset.below_mask(x),

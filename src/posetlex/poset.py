@@ -8,11 +8,17 @@ closed, and posets are immutable afterwards, so instances are safe to
 share, hash and use as dictionary keys.  One derived value is cached on
 the instance: ``linext.pair_counts`` keeps the pair-count matrix it
 computes in ``_pair_counts``, which equality and hashing ignore.
+
+``Poset.canonical_form`` gives every poset up to ``MAX_ELEMENTS`` points a
+key that is equal exactly across isomorphic posets, with |Aut(P)|.  It
+works on the quotient by twin classes (``Poset.twin_classes``) and
+canonizes that by individualization-refinement over bitmask partitions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     AlreadyComparableError,
@@ -24,9 +30,6 @@ from .errors import (
 
 #: Largest poset the package accepts (exhaustive kernels are tuned for this).
 MAX_ELEMENTS = 24
-
-#: Largest poset for which the canonical form is available.
-ISO_CAP = 10
 
 
 def _check_size(n):
@@ -275,66 +278,63 @@ class Poset:
 
     # -- canonical form ---------------------------------------------------
 
+    def twin_classes(self):
+        """The classes of twins, each a tuple of elements in index order.
+
+        Twins are elements with the same down-set and the same up-set; they
+        are incomparable, every permutation of one class is an automorphism,
+        and each class is an antichain module.  Classes are listed by their
+        smallest element.
+        """
+        classes = {}
+        for v, sets in enumerate(zip(self._gt, self.lt)):
+            classes.setdefault(sets, []).append(v)
+        return [tuple(members) for members in classes.values()]
+
     def canonical_form(self):
         """The canonical key and the number of automorphisms, |Aut(P)|.
 
-        Iterated degree refinement splits the elements into ordered classes,
-        then every class-respecting relabeling is scored; the key is the
-        minimum relation encoding.  The relabelings that reach it are one
-        of them composed with each automorphism (automorphisms keep every
-        class), so their number is |Aut(P)|.  Capped at ISO_CAP elements.
+        The order is taken modulo its twin classes: the quotient has one
+        point per class, coloured by the class size t, and
+        |Aut(P)| = prod(t!) * |Aut(coloured quotient)|.  The quotient is
+        canonized by individualization-refinement with automorphism pruning
+        (McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
+        Comput. 60, 2014); see ``_canonical_order``.  Its canonical order,
+        with the twins of each class in index order, relabels P, and the
+        key is the relation encoding of that relabeling, so two posets
+        share a key exactly when they are isomorphic.
         """
         n = self.n
-        if n > ISO_CAP:
-            raise SizeCapError(f"canonical form capped at {ISO_CAP} elements")
-        color = [
-            (self.below_mask(v).bit_count(), self.above_mask(v).bit_count())
-            for v in range(n)
-        ]
-        while True:
-            sig = [
-                (
-                    color[v],
-                    tuple(sorted(color[u] for u in _bits(self.below_mask(v)))),
-                    tuple(sorted(color[u] for u in _bits(self.above_mask(v)))),
-                )
-                for v in range(n)
-            ]
-            palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-            new = [(palette[sig[v]],) for v in range(n)]
-            if len(set(new)) == len(set(color)):
-                color = new
-                break
-            color = new
-        classes = {}
-        for v in range(n):
-            classes.setdefault(color[v], []).append(v)
-        ordered = [classes[c] for c in sorted(classes)]
-        best, hits = None, 0
-        for pieces in itertools.product(*(itertools.permutations(g) for g in ordered)):
-            old_order = [v for piece in pieces for v in piece]
-            pos = [0] * n
-            for new_idx, old in enumerate(old_order):
-                pos[old] = new_idx
-            code = 0
-            for old in range(n):
-                row = self.lt[old]
-                base = pos[old] * n
-                while row:
-                    low = row & -row
-                    code |= 1 << (base + pos[low.bit_length() - 1])
-                    row ^= low
-            if best is None or code < best:
-                best, hits = code, 1
-            elif code == best:
-                hits += 1
-        return (n, best), hits
+        classes = self.twin_classes()
+        sizes = [len(members) for members in classes]
+        if len(classes) == n:
+            down, up = self._gt, self.lt
+        else:
+            index = [0] * n
+            for i, members in enumerate(classes):
+                for v in members:
+                    index[v] = i
+            down = [_image(self._gt[members[0]], index) for members in classes]
+            up = [_image(self.lt[members[0]], index) for members in classes]
+        order, automorphisms = _canonical_order(down, up, sizes)
+        for size in sizes:
+            automorphisms *= math.factorial(size)
+        pos = [0] * n
+        new = 0
+        for i in order:
+            for v in classes[i]:
+                pos[v] = new
+                new += 1
+        code = 0
+        for old, row in enumerate(self.lt):
+            code |= _image(row, pos) << pos[old] * n
+        return (n, code), automorphisms
 
     def canonical_key(self):
         """A value equal across posets exactly when they are isomorphic.
 
-        The key part of ``canonical_form``; intended for memoization on
-        small posets only.
+        The key part of ``canonical_form``, for any poset up to
+        ``MAX_ELEMENTS`` points.
         """
         return self.canonical_form()[0]
 
@@ -359,6 +359,151 @@ def _bits(mask):
         mask ^= low
 
 
+def _image(mask, pos):
+    """The bitmask of pos[v] over the elements v of ``mask``."""
+    image = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        image |= 1 << pos[bit.bit_length() - 1]
+    return image
+
+
+def _refine(cells, queue, down, up):
+    """Split the ordered partition ``cells`` (bitmasks) until it is equitable.
+
+    Each splitter S from ``queue`` splits every cell by how many points of
+    S lie below and above each of its points.  The parts keep the cell's
+    place, ordered by those counts, and join the queue.  Every choice
+    depends on the partition and the order alone, so relabeling the input
+    relabels the result.
+    """
+    m = len(down)
+    count = len(cells)
+    for splitter in queue:  # the queue grows as cells split
+        if count == m:
+            break
+        refined = []
+        for cell in cells:
+            if cell & (cell - 1):
+                parts = {}
+                rest = cell
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    v = bit.bit_length() - 1
+                    key = (down[v] & splitter).bit_count() << 5 | (up[v] & splitter).bit_count()
+                    parts[key] = parts.get(key, 0) | bit
+                if len(parts) > 1:
+                    split = [parts[key] for key in sorted(parts)]
+                    refined += split
+                    count += len(split) - 1
+                    queue += split
+                    continue
+            refined.append(cell)
+        cells = refined
+    return cells
+
+
+def _orbit(v, generators):
+    """The orbit of v, as a bitmask, under the group the permutations generate."""
+    orbit = 1 << v
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        for g in generators:
+            w = g[u]
+            if not orbit >> w & 1:
+                orbit |= 1 << w
+                frontier.append(w)
+    return orbit
+
+
+def _canonical_order(down, up, colours):
+    """A canonical order of a coloured poset, and its number of automorphisms.
+
+    ``down`` and ``up`` are the strict down- and up-set bitmasks of points
+    0..m-1.  The root of the search tree is the equitable refinement of the
+    points grouped by ascending colour.  A node individualizes each point of
+    its first cell of two or more points in turn and refines again; the
+    leaves are the discrete partitions, each an order of the points, and
+    the one whose relation code is least is canonical.  Two leaves with
+    equal codes give an automorphism; the search then backs up to where
+    their paths part, and a node skips each child that a known automorphism
+    fixing the node's path maps to a child already explored.  The
+    automorphisms found generate, along the first path v_1, v_2, ..., each
+    stabilizer of v_1..v_(i-1), so |Aut| is the product of the orbit sizes
+    of v_i under them.
+    """
+    m = len(down)
+    groups = {}
+    for v, colour in enumerate(colours):
+        groups[colour] = groups.get(colour, 0) | 1 << v
+    cells = [groups[colour] for colour in sorted(groups)]
+    cells = _refine(cells, list(cells), down, up)
+    if len(cells) == m:
+        return [cell.bit_length() - 1 for cell in cells], 1
+    generators = []
+    first = best = None  # (code, path, order) of the first and the least leaf
+
+    def code_of(order):
+        pos = [0] * m
+        for p, v in enumerate(order):
+            pos[v] = p
+        code = 0
+        for v in order:
+            code = code << m | _image(up[v], pos)
+        return code
+
+    def visit(cells, path):
+        """Search below one node; return the depth to resume at."""
+        nonlocal first, best
+        depth = len(path)
+        for k, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
+        else:
+            order = [cell.bit_length() - 1 for cell in cells]
+            code = code_of(order)
+            if first is None:
+                first = best = (code, path, order)
+                return depth
+            for known, known_path, known_order in (first, best):
+                if code == known:
+                    image = [0] * m
+                    for a, b in zip(known_order, order):
+                        image[a] = b
+                    generators.append(image)
+                    parted = 0
+                    while path[parted] == known_path[parted]:
+                        parted += 1
+                    return parted
+            if code < best[0]:
+                best = (code, path, order)
+            return depth
+        explored = 0
+        for v in _bits(cell):
+            bit = 1 << v
+            if explored and generators:
+                fixing = [g for g in generators if all(g[u] == u for u in path)]
+                if _orbit(v, fixing) & explored:
+                    continue
+            explored |= bit
+            child = _refine(cells[:k] + [bit, cell ^ bit] + cells[k + 1:], [bit], down, up)
+            resume = visit(child, path + [v])
+            if resume < depth:
+                return resume
+        return depth
+
+    visit(cells, [])
+    path = first[1]
+    automorphisms = 1
+    for i, v in enumerate(path):
+        fixing = [g for g in generators if all(g[u] == u for u in path[:i])]
+        automorphisms *= _orbit(v, fixing).bit_count()
+    return best[2], automorphisms
+
+
 def _validate(n, lt):
     if len(lt) != n:
         raise ValueError("relation table size mismatch")
@@ -381,7 +526,7 @@ def _validate(n, lt):
 
 
 def are_isomorphic(p, q):
-    """Exact isomorphism test by canonical form (small posets only)."""
+    """Exact isomorphism test by canonical form."""
     if p.n != q.n:
         return False
     return p.canonical_key() == q.canonical_key()

@@ -8,6 +8,8 @@ closed subsets, and autonomous sets from testing all C(n, k) subsets.
 Pair counts, delta, balanced pairs, gold-partition witnesses and the
 class table of a lexicographic sum are derived from those filtered
 extensions; the sorting cost is the plain minimax over every comparison.
+The reference canonical form scores every relabeling that keeps the
+classes of iterated degree refinement.
 """
 
 import functools
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from posetlex import GpcBranch, GpcWitness, Poset
+from posetlex import GpcBranch, GpcWitness, Poset, lex_sum
 
 POSETS_DIR = Path(__file__).resolve().parent.parent / "posets"
 
@@ -165,7 +167,7 @@ def brute_sort_cost(poset, memo=None):
     return cost(poset)
 
 
-def _closed_subsets(n, masks):
+def closed_subsets(n, masks):
     """Every subset of 0..n-1 that contains masks[e] along with each e."""
     return [
         subset
@@ -189,8 +191,8 @@ def labeled_posets(n):
     for small in labeled_posets(n - 1):
         k = small.n
         full = (1 << k) - 1
-        ups = _closed_subsets(k, [small.above_mask(e) for e in range(k)])
-        for down in _closed_subsets(k, [small.below_mask(e) for e in range(k)]):
+        ups = closed_subsets(k, [small.above_mask(e) for e in range(k)])
+        for down in closed_subsets(k, [small.below_mask(e) for e in range(k)]):
             allowed = full
             for a in range(k):
                 if down >> a & 1:
@@ -210,6 +212,59 @@ def brute_automorphisms(poset):
         all(poset.is_lt(perm[a], perm[b]) for a, b in pairs)
         for perm in itertools.permutations(range(poset.n))
     )
+
+
+def _elements(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def reference_canonical_form(poset):
+    """((n, key), |Aut(P)|) by refinement and a product of permutations.
+
+    Iterated degree refinement splits the elements into ordered classes,
+    then every class-respecting relabeling is scored; the key is the
+    minimum relation encoding.  The relabelings that reach it are one of
+    them composed with each automorphism (automorphisms keep every class),
+    so their number is |Aut(P)|.  Its keys are not those of
+    ``Poset.canonical_form``; compare key equality, not key values.
+    """
+    n = poset.n
+    color = [
+        (poset.below_mask(v).bit_count(), poset.above_mask(v).bit_count())
+        for v in range(n)
+    ]
+    while True:
+        sig = [
+            (
+                color[v],
+                tuple(sorted(color[u] for u in _elements(poset.below_mask(v)))),
+                tuple(sorted(color[u] for u in _elements(poset.above_mask(v)))),
+            )
+            for v in range(n)
+        ]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [(palette[sig[v]],) for v in range(n)]
+        if len(set(new)) == len(set(color)):
+            break
+        color = new
+    classes = {}
+    for v in range(n):
+        classes.setdefault(new[v], []).append(v)
+    ordered = [classes[c] for c in sorted(classes)]
+    best, hits = None, 0
+    for pieces in itertools.product(*(itertools.permutations(g) for g in ordered)):
+        pos = [0] * n
+        for new_idx, old in enumerate(v for piece in pieces for v in piece):
+            pos[old] = new_idx
+        code = 0
+        for old in range(n):
+            for u in _elements(poset.above_mask(old)):
+                code |= 1 << (pos[old] * n + pos[u])
+        if best is None or code < best:
+            best, hits = code, 1
+        elif code == best:
+            hits += 1
+    return (n, best), hits
 
 
 def _ranked_poset(rank, raw):
@@ -235,6 +290,23 @@ def posets(max_n):
     return st.one_of(
         st.builds(Poset.antichain, sizes), st.builds(Poset.chain, sizes), random
     )
+
+
+@st.composite
+def twin_heavy_posets(draw, max_n):
+    """Hypothesis strategy: lexicographic sums of a base on at most four
+    points with antichain components, on at most max_n points, relabeled.
+
+    Each component is a set of twins, so these posets have large twin
+    classes and many automorphisms.
+    """
+    base = draw(posets(min(4, max_n)))
+    sizes = []
+    for i in range(base.n):
+        room = max_n - sum(sizes) - (base.n - i - 1)
+        sizes.append(draw(st.integers(1, min(3, room))))
+    poset = lex_sum(base, [Poset.antichain(size) for size in sizes]).poset
+    return poset.relabel(draw(st.permutations(range(poset.n))))
 
 
 def brute_is_autonomous(poset, members):

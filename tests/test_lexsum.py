@@ -40,7 +40,7 @@ from posetlex import lexsum
 from posetlex.generate import random_nonchain_poset, random_poset
 from posetlex.linext import LinearExtension
 
-from conftest import brute_count, brute_locality_table, posets
+from conftest import brute_count, brute_extensions, brute_locality_table, posets
 
 #: The N shape: w=0 < y=2, x=1 < y=2, x=1 < z=3.
 N_POSET = Poset.from_relations(4, [(0, 2), (1, 2), (1, 3)])
@@ -254,6 +254,26 @@ def test_gap_profile_partitions(point_and_chain):
     assert profile.total() == count_extensions(point_and_chain)
     # the isolated point floats across the whole 2-chain: one class, gap 2
     assert list(profile.classes.values()) == [2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(6), st.data())
+def test_gap_profile_matches_brute_force(p, data):
+    point = data.draw(st.integers(0, p.n - 1))
+    expected = {}
+    for order in brute_extensions(p):
+        label = {e: rank for rank, e in enumerate(order, start=1)}
+        c = max([label[s] for s in range(p.n) if p.is_lt(s, point)], default=0)
+        b = min([label[r] for r in range(p.n) if p.is_lt(point, r)], default=p.n + 1)
+        k = sum(
+            1
+            for t in range(p.n)
+            if t != point and not p.is_lt(t, point) and not p.is_lt(point, t)
+            and c < label[t] < b
+        )
+        reduced = tuple(e for e in order if e != point)
+        assert expected.setdefault(reduced, k) == k
+    assert gap_profile(p, point).classes == expected
 
 
 def test_gap_profile_predicts_substitution(point_and_chain):

@@ -1,6 +1,8 @@
 """Core poset structure: constructors, closure, invariants, canonical form."""
 
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,17 @@ from posetlex.errors import (
     ZeroSizeError,
 )
 
-from conftest import brute_automorphisms, brute_isomorphic, brute_width, posets
+from posetlex.generate import poset_classes, random_poset
+
+from conftest import (
+    brute_automorphisms,
+    brute_isomorphic,
+    brute_width,
+    closed_subsets,
+    posets,
+    reference_canonical_form,
+    twin_heavy_posets,
+)
 
 
 def relation_strategy(max_n=6):
@@ -158,27 +170,91 @@ def test_canonical_key_distinguishes_and_identifies():
     assert not are_isomorphic(a, c)
 
 
-def test_canonical_key_cap():
-    with pytest.raises(SizeCapError):
-        Poset.antichain(11).canonical_key()
+def _disjoint_chains(copies, length):
+    return Poset.from_relations(
+        copies * length,
+        [(c * length + i, c * length + i + 1) for c in range(copies) for i in range(length - 1)],
+    )
 
 
-@settings(max_examples=40, deadline=None)
-@given(relation_strategy(max_n=5), st.randoms(use_true_random=False))
-def test_isomorphism_matches_brute_force(data, rng):
-    n, pairs = data
-    p = dag_poset(n, pairs)
-    perm = list(range(n))
-    rng.shuffle(perm)
+def _ordinal_sum_of_antichains(sizes):
+    starts = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+    return Poset.from_relations(
+        starts[-1],
+        [
+            (a, b)
+            for k in range(len(sizes) - 1)
+            for a in range(starts[k], starts[k + 1])
+            for b in range(starts[k + 1], starts[k + 2])
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "poset, automorphisms",
+    [
+        (Poset.antichain(24), math.factorial(24)),
+        (Poset.chain(24), 1),
+        (random_poset(24, random.Random(24)), 8),
+        (_disjoint_chains(8, 3), math.factorial(8)),
+        (_ordinal_sum_of_antichains([3, 4, 5]), 6 * 24 * 120),
+    ],
+    ids=["antichain", "chain", "random", "eight-3-chains", "sum-of-antichains"],
+)
+def test_canonical_form_on_24_points(poset, automorphisms):
+    key, count = poset.canonical_form()
+    assert count == automorphisms
+    perm = list(range(poset.n))
+    random.Random(poset.n).shuffle(perm)
+    assert poset.relabel(perm).canonical_form() == (key, count)
+
+
+def test_twin_classes():
+    assert _ordinal_sum_of_antichains([3, 4, 5]).twin_classes() == [
+        (0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11)
+    ]
+    assert Poset.from_relations(4, [(0, 2), (1, 2), (1, 3)]).twin_classes() == [
+        (0,), (1,), (2,), (3,)
+    ]
+    assert Poset.from_relations(3, [(0, 2), (1, 2)]).twin_classes() == [(0, 1), (2,)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(posets(7), twin_heavy_posets(7)), st.data())
+def test_isomorphism_matches_brute_force(p, data):
+    perm = data.draw(st.permutations(range(p.n)))
     q = p.relabel(perm)
     assert are_isomorphic(p, q)
     assert brute_isomorphic(p, q)
+    other = data.draw(st.one_of(posets(p.n), twin_heavy_posets(p.n)))
+    assert are_isomorphic(p, other) == brute_isomorphic(p, other)
 
 
 @settings(max_examples=80, deadline=None)
-@given(posets(6))
+@given(st.one_of(posets(7), twin_heavy_posets(7)))
 def test_automorphism_count_matches_brute_force(p):
     assert p.canonical_form()[1] == brute_automorphisms(p)
+
+
+def test_canonical_form_matches_reference_on_all_classes():
+    """Every child poset_classes(7) builds, relabeled at random: keys are
+    equal exactly when the reference keys are, and |Aut| is the reference's."""
+    rng = random.Random(7)
+    keys = {}
+    for small, _ in poset_classes(6):
+        k = small.n
+        for down in closed_subsets(k, [small.below_mask(e) for e in range(k)]):
+            rows = [row | (1 << k if down >> a & 1 else 0) for a, row in enumerate(small.lt)]
+            child = Poset(k + 1, rows + [0], _trusted=True)
+            perm = list(range(k + 1))
+            rng.shuffle(perm)
+            key, count = child.relabel(perm).canonical_form()
+            reference, reference_count = reference_canonical_form(child)
+            assert count == reference_count
+            keys.setdefault(reference, set()).add(key)
+    assert len(keys) == 2 + 5 + 16 + 63 + 318 + 2045  # classes on 2..7 points
+    assert all(len(new) == 1 for new in keys.values())
+    assert len(set().union(*keys.values())) == len(keys)
 
 
 def test_relabeled_pair_not_isomorphic_when_shapes_differ():
