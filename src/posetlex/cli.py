@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAILURE = 2
 
+#: The commands that enumerate L(P), the only ones ``--cap`` applies to.
+CAP_COMMANDS = ("enum", "verify-locality")
+
 
 def _fraction_str(value):
     frac = Fraction(value)
@@ -320,8 +323,8 @@ def build_parser():
     parser.add_argument(
         "--cap",
         type=int,
-        default=linext.DEFAULT_ENUM_CAP,
-        help="enumeration cap on e(P), for enum and verify-locality only",
+        help="enumeration cap on e(P), at least 1, for "
+        f"{' and '.join(CAP_COMMANDS)} only (default {linext.DEFAULT_ENUM_CAP})",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable reports"
@@ -374,10 +377,23 @@ def build_parser():
     return parser
 
 
+def _check_cap(args):
+    """Reject a ``--cap`` below 1 or given to a command that does not enumerate."""
+    if args.cap is None:
+        args.cap = linext.DEFAULT_ENUM_CAP
+    elif args.command not in CAP_COMMANDS:
+        raise ValueError(
+            f"--cap applies to {' and '.join(CAP_COMMANDS)} only, not {args.command}"
+        )
+    elif args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_cap(args)
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

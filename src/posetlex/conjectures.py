@@ -71,14 +71,30 @@ def _partition_ok(t0, t1, t2, strict):
     return t0 > t1 + t2 if strict else t0 >= t1 + t2
 
 
-def worst_count(poset, total, c, d):
-    """e of the larger outcome of comparing c with d: the t2 that pair leaves.
+def worst_count(poset, given, total, c, d):
+    """The larger outcome of comparing c with d in P + given: the t2 it leaves.
 
-    ``total`` is e(poset).  Every extension puts c before d or d before c,
-    so one count of the first outcome gives both.
+    ``given`` lists the comparisons already made, ``total`` is
+    e(P + given), and both outcomes are counted on P's lattice.  Every
+    extension puts c before d or d before c, so one count gives both.
     """
-    before = linext.count_extensions(poset.with_relation(c, d))
+    before = linext._count(poset, (*given, (c, d)))
     return max(before, total - before)
+
+
+def _incomparable_after(poset, x, y):
+    """The pairs (c, d), c < d by index, incomparable in P + x<y.
+
+    c < d holds in P + x<y exactly when it holds in P, or c <= x and
+    y <= d, so P's rows decide it without building the outcome.
+    """
+    low = poset.below_mask(x) | 1 << x
+    high = poset.above_mask(y) | 1 << y
+    return [
+        (c, d)
+        for c, d in poset.incomparable_pairs()
+        if not (low >> c & 1 and high >> d & 1 or low >> d & 1 and high >> c & 1)
+    ]
 
 
 def _least_t2(t1, strict):
@@ -127,12 +143,13 @@ def check_gpc(poset, mode="adaptive", strict=False):
     takes the first admissible second pair of each outcome.  In nonadaptive
     mode a single second pair, the first in ascending order, must be
     incomparable in, and work for, every non-chain outcome.  Every t-value
-    is read off the pair-count matrices of P and of its outcome posets.
-    A first pair one of whose outcomes has t0 < t1 + ceil(t1/2) cannot
-    pass, since every second pair leaves t2 >= ceil(t1/2), so it is
-    skipped without a pass over that outcome.  Otherwise one pass is run,
-    over P + a<b; the matrix of P + b<a is P's less that one, and is taken
-    only when the first outcome admits a second pair.
+    is read off the pair-count matrices of P and of its outcomes, all
+    computed on P's lattice of ideals.  A first pair one of whose outcomes
+    has t0 < t1 + ceil(t1/2) cannot pass, since every second pair leaves
+    t2 >= ceil(t1/2), so it is skipped without a pass over that outcome.
+    Otherwise one pass is run, for P + a<b; the matrix of P + b<a is P's
+    less that one, and is taken only when the first outcome admits a
+    second pair.
     """
     if mode not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -145,7 +162,7 @@ def check_gpc(poset, mode="adaptive", strict=False):
         t1 = max(matrix.counts[a][b], matrix.counts[b][a])
         if not _partition_ok(t0, t1, _least_t2(t1, strict), strict):
             continue  # no second pair can satisfy the inequality
-        a_first = linext.pair_counts(poset.with_relation(a, b))
+        a_first = linext._matrix(poset, ((a, b),))
         options = []
         for result in ((a, b), (b, a)):
             outcome = a_first if result == (a, b) else matrix - a_first
@@ -178,55 +195,50 @@ def verify_gpc_witness(poset, witness):
     """Recount every t-value of a witness from scratch and recheck it.
 
     The two branches must orient the first pair one each way.  The
-    recounts run the extension count on P and on the outcome posets, not
-    the pair-count pass the search reads, so they check it independently.
-    Each comparison costs one count, its other outcome being the rest: the
-    second branch's t1 is t0 less the first's, and a second pair's other
-    outcome is the rest of t1.
+    recounts are forward passes over P's lattice of ideals, restricted to
+    each outcome, not the pair-count matrices the search reads, so they
+    check it independently.  Each comparison costs one count, its other
+    outcome being the rest: the second branch's t1 is t0 less the
+    first's, and a second pair's other outcome is the rest of t1.
 
     A branch with no second pair is accepted when the outcome is a chain
-    (the vacuous count), or when some actual second comparison achieves at
-    most the recorded t2 -- the form lifted witnesses take on branches
-    whose component part is already sorted.
+    (t1 = 1, the vacuous count), or when some actual second comparison
+    achieves at most the recorded t2 -- the form lifted witnesses take on
+    branches whose component part is already sorted.
     """
     a, b = witness.first
     if sorted(branch.result for branch in witness.branches) != sorted([(a, b), (b, a)]):
         return False
     if poset.is_lt(a, b) or poset.is_lt(b, a):
         return False
-    if linext.count_extensions(poset) != witness.t0:
+    if linext._count(poset) != witness.t0:
         return False
     t1 = None
     for branch in witness.branches:
-        outcome = poset.with_relation(*branch.result)
-        t1 = linext.count_extensions(outcome) if t1 is None else witness.t0 - t1
+        given = (branch.result,)
+        t1 = linext._count(poset, given) if t1 is None else witness.t0 - t1
         if t1 != branch.t1:
             return False
+        seconds = _incomparable_after(poset, *branch.result)
         if branch.second is None:
-            if outcome.is_chain():
+            if t1 == 1:
                 if branch.t2 != (0 if witness.strict else 1):
                     return False
-            elif not _second_achievable(outcome, branch.t1, branch.t2):
+            elif not any(
+                worst_count(poset, given, t1, c, d) <= branch.t2 for c, d in seconds
+            ):
                 return False
             t2 = branch.t2
         else:
             c, d = branch.second
-            if outcome.is_lt(c, d) or outcome.is_lt(d, c):
+            if (min(c, d), max(c, d)) not in seconds:
                 return False
-            t2 = worst_count(outcome, branch.t1, c, d)
+            t2 = worst_count(poset, given, t1, c, d)
             if t2 != branch.t2:
                 return False
         if not _partition_ok(witness.t0, branch.t1, t2, witness.strict):
             return False
     return True
-
-
-def _second_achievable(outcome, total, budget):
-    """Does some comparison in ``outcome`` (e = total) leave at most ``budget``?"""
-    return any(
-        worst_count(outcome, total, c, d) <= budget
-        for c, d in outcome.incomparable_pairs()
-    )
 
 
 def sort_cost(poset):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .linext import _forward
+from .linext import _lattice
 from .poset import Poset
 
 
@@ -14,7 +14,8 @@ def poset_classes(max_n):
     Classes come level by level, in a fixed order.  Every poset has a
     maximal point, and removing it leaves a poset on one point fewer, so
     the classes on n+1 points are reached by putting one new maximal point
-    above each down-set of each class representative on n points; the
+    above each down-set of each class representative on n points (read
+    off the representative's lattice of ideals, level by level); the
     children are deduplicated by canonical key (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26, 1998; Brinkmann & McKay,
     "Posets on up to 16 points", Order 19, 2002).  A class of size n has
@@ -28,18 +29,17 @@ def poset_classes(max_n):
         seen = set()
         children = []
         for small, _ in level:
-            for ideals in _forward(small):
-                for down in ideals:
-                    rows = [
-                        row | top if down >> a & 1 else row
-                        for a, row in enumerate(small.lt)
-                    ]
-                    rows.append(0)
-                    child = Poset(n + 1, rows, _trusted=True)
-                    key, automorphisms = child.canonical_form()
-                    if key not in seen:
-                        seen.add(key)
-                        children.append((child, automorphisms))
+            for down in _lattice(small)[0]:
+                rows = [
+                    row | top if down >> a & 1 else row
+                    for a, row in enumerate(small.lt)
+                ]
+                rows.append(0)
+                child = Poset(n + 1, rows, _trusted=True)
+                key, automorphisms = child.canonical_form()
+                if key not in seen:
+                    seen.add(key)
+                    children.append((child, automorphisms))
         level = children
     level.reverse()
     while level:

@@ -225,15 +225,16 @@ def lift_witness(sum_poset, mapping, component, witness):
     ``mapping[q]`` names the sum element carrying local element q.  The
     witness is first re-verified on the component, which checks that t0 is
     e(component) and that the two branches orient one pair both ways.  Then
-    every t-value is independently recounted on the sum and checked to be
-    exactly k times the component value, k = e(sum) / t0.  Each comparison
-    takes one count, its other outcome being the complement: e(sum) - t1
-    for the second branch, t1 less one orientation's count for a second
-    pair.
+    every t-value is independently recounted on the sum, by forward passes
+    over the sum's lattice of ideals restricted to each outcome, and
+    checked to be exactly k times the component value, k = e(sum) / t0.
+    Each comparison takes one count, its other outcome being the
+    complement: e(sum) - t1 for the second branch, t1 less one
+    orientation's count for a second pair.
     """
     if not verify_gpc_witness(component, witness):
         raise InvalidWitnessError("witness fails re-verification on the component")
-    e_sum = linext.count_extensions(sum_poset)
+    e_sum = linext._count(sum_poset)
     if e_sum % witness.t0:
         raise PosetError("e(component) does not divide e(sum)")
     k = e_sum // witness.t0
@@ -241,15 +242,15 @@ def lift_witness(sum_poset, mapping, component, witness):
     branches = []
     for branch in witness.branches:
         a, b = (mapping[branch.result[0]], mapping[branch.result[1]])
-        outcome = sum_poset.with_relation(a, b)
-        t1 = e_sum - branches[0].t1 if branches else linext.count_extensions(outcome)
+        given = ((a, b),)
+        t1 = e_sum - branches[0].t1 if branches else linext._count(sum_poset, given)
         if t1 != k * branch.t1:
             raise PosetError("lifted t1 is not k * t1")
         if branch.second is None:
             second, t2 = None, k * branch.t2
         else:
             second = (mapping[branch.second[0]], mapping[branch.second[1]])
-            t2 = worst_count(outcome, t1, *second)
+            t2 = worst_count(sum_poset, given, t1, *second)
             if t2 != k * branch.t2:
                 raise PosetError("lifted t2 is not k * t2")
         branches.append(GpcBranch((a, b), t1, second, t2))

@@ -3,19 +3,25 @@
 Counting walks the lattice of down-sets (order ideals): the number of
 linear extensions equals the number of maximal chains from the empty ideal
 to the full ground set, which a level-by-level dynamic program over ideal
-bitmasks computes exactly in arbitrary precision.  Pair probabilities come
-from a single pass over the same lattice: a forward pass counts
-down(I) = e(P|I), a backward pass up(I) = e(P|rest), and #(x before y) is
-the sum of down(I)*up(I+x) over the ideals I that x extends with y outside
-(De Loof, De Meyer & De Baets, "Exploiting the lattice of ideals
-representation of a poset", Fundam. Inform. 71, 2006).  The sum is taken
-for half the pairs, x < y by index; every extension puts x before y or y
-before x, so #(y before x) is the rest of e(P).  All probabilities are
-`fractions.Fraction`; floats never enter a comparison.
+bitmasks computes exactly in arbitrary precision (De Loof, De Meyer &
+De Baets, "Exploiting the lattice of ideals representation of a poset",
+Fundam. Inform. 71, 2006).  ``count_extensions`` runs that pass on its
+own.  Everything else counts on P's lattice, built once per Poset and
+kept on it (``_lattice``): the ideals of P + a<b are the ideals of P that
+hold a whenever they hold b, so any outcome of comparisons is P's lattice
+with the steps it forbids dropped, and no outcome poset is built.  Pair
+probabilities come from a single pass over the lattice: a forward pass
+counts down(I) = e(P|I), a backward pass up(I) = e(P|rest), and
+#(y before x) is the sum of down(I)*up(I+x) over the ideals I that x
+extends and y lies in; the sums for every y are carried in one integer
+per x, a field per y.  All probabilities are `fractions.Fraction`; floats
+never enter a comparison.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,7 +79,7 @@ class PairCountMatrix:
         """
         return PairCountMatrix(
             tuple(
-                tuple(whole - some for whole, some in zip(row, part_row))
+                tuple(map(operator.sub, row, part_row))
                 for row, part_row in zip(self.counts, part.counts)
             ),
             self.total - part.total,
@@ -179,59 +185,126 @@ def _walk(poset, cap, pick, block=range(0), below=0, above=0):
     return total
 
 
-def pair_counts(poset):
-    """Exact before/after counts for every ordered pair, in one pass.
+def _lattice(poset):
+    """P's lattice of ideals: (ideals, steps, offsets), built once per Poset.
 
-    The forward pass gives down(I) = e(P|I) for every ideal I; a backward
-    pass over the same ideals gives up(I) = e(P|rest).  The extensions that
-    place x right after exactly the ideal I number down(I)*up(I+x), and they
-    put x before every y outside I+x.  The sum runs only over incomparable
-    y > x: every extension puts x before the elements above it, and
-    #(y before x) is e(P) - #(x before y).
+    ``ideals`` lists the ideal bitmasks level by level, each level in the
+    order the forward pass of ``count_extensions`` first reaches them.  The
+    successor steps of ideal i are ``steps[offsets[i]:offsets[i + 1]]``,
+    each ``j << 5 | x``: adding element x (n <= 24 < 32) gives ideal j.
+    Both are packed arrays, since a wide poset has tens of thousands of
+    steps.  The lattice is kept on the instance; it holds no count.
+    """
+    if poset._lattice is not None:
+        return poset._lattice
+    grow = [(poset.below_mask(x), poset.below_mask(x) | 1 << x) for x in range(poset.n)]
+    ideals = array("I", [0])
+    steps = array("I")
+    offsets = array("I", [0])
+    start = 0
+    while start < len(ideals):
+        # One level; the index of the next one is dropped after it, so the
+        # build never holds more than one level's dict.
+        stop = len(ideals)
+        index = {}
+        for ideal in ideals[start:stop]:
+            for x, (below, mask) in enumerate(grow):
+                if ideal & mask == below:
+                    grown = ideal | mask
+                    j = index.get(grown)
+                    if j is None:
+                        j = index[grown] = len(ideals)
+                        ideals.append(grown)
+                    steps.append(j << 5 | x)
+            offsets.append(len(steps))
+        start = stop
+    poset._lattice = (ideals, steps, offsets)
+    return poset._lattice
+
+
+def _down(poset, given):
+    """down[i] = e(Q|ideal i) for Q = P + given, on P's lattice.
+
+    ``given`` lists comparisons (a, b), a below b.  The ideals of Q are
+    the ideals of P that hold a whenever they hold b, so the step adding
+    x is dropped unless the ideal holds every a given below x.  Ideals of
+    P that are not ideals of Q are never reached and keep down = 0.
+    """
+    ideals, steps, offsets = _lattice(poset)
+    need = [0] * poset.n
+    for a, b in given:
+        need[b] |= 1 << a
+    down = [0] * len(ideals)
+    down[0] = 1
+    for i, ideal in enumerate(ideals):
+        ways = down[i]
+        if ways:
+            for step in steps[offsets[i] : offsets[i + 1]]:
+                if not need[step & 31] & ~ideal:
+                    down[step >> 5] += ways
+    return down
+
+
+def _count(poset, given=()):
+    """e(P + given), counted on P's lattice; see ``_down``."""
+    return _down(poset, given)[-1]
+
+
+def _matrix(poset, given=()):
+    """The PairCountMatrix of P + given, from P's lattice.
+
+    The forward pass gives down(I) = e(Q|I) for every ideal I of
+    Q = P + given; a backward pass over the same ideals gives
+    up(I) = e(Q|rest), and an ideal of P that is not one of Q has up = 0.
+    The extensions that place x right after exactly the ideal I number
+    down(I)*up(I+x), and they put every y of I before x, so #(y before x)
+    sums them over the steps from ideals that hold y.  Pairs that P or
+    ``given`` order come out as e(Q) or 0 by the same sum.  The sums for
+    every y are taken at once: column x is one integer holding
+    #(y before x) in field y, and a step adds down(I)*up(I+x) times the
+    integer with a 1 in the field of each y in I.  No count exceeds e(Q),
+    so fields as wide as e(Q) never carry into each other.
+    """
+    ideals, steps, offsets = _lattice(poset)
+    n = poset.n
+    down = _down(poset, given)
+    total = down[-1]
+    width = total.bit_length()
+    units = [1 << width * y for y in range(n)]
+    columns = [0] * n
+    up = [0] * len(ideals)
+    up[-1] = 1
+    for i in range(len(ideals) - 2, -1, -1):
+        ways = down[i]
+        if not ways:
+            continue
+        ideal = ideals[i]
+        spread = 0
+        while ideal:
+            bit = ideal & -ideal
+            ideal ^= bit
+            spread += units[bit.bit_length() - 1]
+        spread *= ways
+        after = 0
+        for step in steps[offsets[i] : offsets[i + 1]]:
+            tail = up[step >> 5]
+            if tail:
+                after += tail
+                columns[step & 31] += tail * spread
+        up[i] = after
+    field = (1 << width) - 1
+    before = ([column >> width * y & field for y in range(n)] for column in columns)
+    return PairCountMatrix(tuple(zip(*before)), total)
+
+
+def pair_counts(poset):
+    """Exact before/after counts for every ordered pair: ``_matrix(P)``.
 
     The matrix is computed once per Poset instance: the first call keeps
     it on the poset and later calls return that same (immutable) value.
     """
-    if poset._pair_counts is not None:
-        return poset._pair_counts
-    n = poset.n
-    full = (1 << n) - 1
-    down = {}
-    for level in _forward(poset):
-        down.update(level)
-    total = down[full]
-    counts = [[total if row >> y & 1 else 0 for y in range(n)] for row in poset.lt]
-    steps = [
-        (
-            poset.below_mask(x),
-            poset.below_mask(x) | 1 << x,
-            counts[x],
-            poset.incomparable_mask(x) >> (x + 1) << (x + 1),
-        )
-        for x in range(n)
-    ]
-    up = {full: 1}
-    ideals = reversed(down.items())
-    next(ideals)  # the full ideal: nothing is left to place
-    for ideal, ways in ideals:
-        rest = full ^ ideal
-        after = 0
-        for below, mask, row, later in steps:
-            if ideal & mask != below:
-                continue
-            tail = up[ideal | mask]
-            after += tail
-            later &= rest
-            weight = ways * tail
-            while later:
-                bit = later & -later
-                later ^= bit
-                row[bit.bit_length() - 1] += weight
-        up[ideal] = after
-    for x in range(n):
-        for y in range(x + 1, n):
-            counts[y][x] = total - counts[x][y]
-    poset._pair_counts = PairCountMatrix(tuple(tuple(row) for row in counts), total)
+    if poset._pair_counts is None:
+        poset._pair_counts = _matrix(poset)
     return poset._pair_counts
 
 
@@ -243,42 +316,42 @@ def prob(poset, x, y):
         return Fraction(1)
     if poset.is_lt(y, x):
         return Fraction(0)
-    total = count_extensions(poset)
-    before = count_extensions(poset.with_relation(x, y))
-    return Fraction(before, total)
+    return Fraction(_count(poset, ((x, y),)), _count(poset))
 
 
 def delta(poset):
     """max over pairs of min{P(x<y), P(y<x)} with its achieving pair.
 
     Ties break to the lexicographically smallest (x, y).  Chains have no
-    incomparable pair, so the max is empty and ChainError is raised.
+    incomparable pair, so the max is empty and ChainError is raised.  The
+    counts share the denominator e(P), so they are compared as integers.
     """
     if poset.is_chain():
         raise ChainError("delta is undefined on chains")
     matrix = pair_counts(poset)
-    total = matrix.total
-    best = None
+    counts = matrix.counts
+    best = -1
     best_pair = None
     for x, y in poset.incomparable_pairs():
-        value = Fraction(min(matrix.counts[x][y], matrix.counts[y][x]), total)
-        if best is None or value > best:
+        value = min(counts[x][y], counts[y][x])
+        if value > best:
             best, best_pair = value, (x, y)
-    return best, best_pair
+    return Fraction(best, matrix.total), best_pair
 
 
 def balanced_pair(poset):
     """First incomparable pair with P(x<y) in [1/3, 2/3], or None.
 
-    None would be a counterexample to the 1/3-2/3 conjecture; callers are
+    With c = #(x before y) and t = e(P), the test is t <= 3c <= 2t.  None
+    would be a counterexample to the 1/3-2/3 conjecture; callers are
     expected to surface it loudly.
     """
     if poset.is_chain():
         raise ChainError("balanced_pair is undefined on chains")
     matrix = pair_counts(poset)
-    low, high = Fraction(1, 3), Fraction(2, 3)
+    total = matrix.total
     for x, y in poset.incomparable_pairs():
-        p = Fraction(matrix.counts[x][y], matrix.total)
-        if low <= p <= high:
-            return (x, y), p
+        before = matrix.counts[x][y]
+        if total <= 3 * before <= 2 * total:
+            return (x, y), Fraction(before, total)
     return None

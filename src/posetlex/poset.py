@@ -5,9 +5,12 @@ tables if they need names.  The strict relation is a tuple of integers,
 ``lt[a]`` having bit ``b`` set exactly when ``a < b``.  Every constructor
 returns a relation that is irreflexive, antisymmetric and transitively
 closed, and posets are immutable afterwards, so instances are safe to
-share, hash and use as dictionary keys.  One derived value is cached on
-the instance: ``linext.pair_counts`` keeps the pair-count matrix it
-computes in ``_pair_counts``, which equality and hashing ignore.
+share, hash and use as dictionary keys.  Two derived values are cached on
+the instance, and equality and hashing ignore both: ``linext._lattice``
+keeps P's lattice of ideals in ``_lattice`` (structure only, never a
+count), and ``linext.pair_counts`` keeps P's pair-count matrix in
+``_pair_counts``.  A poset derived from another, such as an outcome of
+``with_relation``, starts with neither.
 
 ``Poset.canonical_form`` gives every poset up to ``MAX_ELEMENTS`` points a
 key that is equal exactly across isomorphic posets, with |Aut(P)|.  It
@@ -54,9 +57,10 @@ def _close(n, rows):
 class Poset:
     """An immutable strict partial order on ``0..n-1``."""
 
-    __slots__ = ("n", "lt", "_hash", "_gt", "_pair_counts")
+    __slots__ = ("n", "lt", "_hash", "_gt", "_lattice", "_pair_counts")
 
-    def __init__(self, n, lt, _trusted=False):
+    def __init__(self, n, lt, _trusted=False, _gt=None):
+        """``_gt``, when given, is the transpose of ``lt``, already known."""
         _check_size(n)
         lt = tuple(lt)
         if not _trusted:
@@ -64,14 +68,16 @@ class Poset:
         self.n = n
         self.lt = lt
         self._hash = hash((n, lt))
-        gt = [0] * n
-        for a in range(n):
-            row = lt[a]
-            while row:
-                low = row & -row
-                gt[low.bit_length() - 1] |= 1 << a
-                row ^= low
-        self._gt = tuple(gt)
+        if _gt is None:
+            _gt = [0] * n
+            for a in range(n):
+                row = lt[a]
+                while row:
+                    low = row & -row
+                    _gt[low.bit_length() - 1] |= 1 << a
+                    row ^= low
+        self._gt = tuple(_gt)
+        self._lattice = None
         self._pair_counts = None
 
     # -- constructors -----------------------------------------------------
@@ -164,17 +170,27 @@ class Poset:
         return sum(m.bit_count() for m in self.lt) == n * (n - 1) // 2
 
     def with_relation(self, a, b):
-        """Smallest poset extending this one with ``a < b``."""
+        """Smallest poset extending this one with ``a < b``.
+
+        The new relations are c < d for every c <= a and d >= b, so the
+        rows of {a} and below(a) gain {b} and above(b), and the down-sets
+        of those gain {a} and below(a): no closure is needed.
+        """
         if a == b or self.is_lt(a, b) or self.is_lt(b, a):
             raise AlreadyComparableError(f"{a} and {b} are already comparable")
+        low = self._gt[a] | 1 << a
+        high = self.lt[b] | 1 << b
         rows = list(self.lt)
-        rows[a] |= 1 << b
-        _close(self.n, rows)
-        return Poset(self.n, rows, _trusted=True)
+        for c in _bits(low):
+            rows[c] |= high
+        gt = list(self._gt)
+        for d in _bits(high):
+            gt[d] |= low
+        return Poset(self.n, rows, _trusted=True, _gt=gt)
 
     def dual(self):
         """The order with every relation reversed."""
-        return Poset(self.n, self._gt, _trusted=True)
+        return Poset(self.n, self._gt, _trusted=True, _gt=self.lt)
 
     def induced(self, elements):
         """Subposet on the given elements, relabeled in the order given."""

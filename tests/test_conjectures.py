@@ -89,57 +89,60 @@ def test_balance_bound_skips_outcome_passes(monkeypatch, name, passes, mode):
     poset = files.load(POSETS_DIR / f"{name}.poset")
     outcomes = []
     complements = []
-    pair_counts = linext.pair_counts
+    matrix = linext._matrix
     subtract = linext.PairCountMatrix.__sub__
 
-    def counted(p):
-        if p is not poset:
-            outcomes.append(p)
-        return pair_counts(p)
+    def counted(p, given=()):
+        if given:
+            outcomes.append((p, given))
+        return matrix(p, given)
 
     def counted_sub(whole, part):
         complements.append(part)
         return subtract(whole, part)
 
-    monkeypatch.setattr(linext, "pair_counts", counted)
+    monkeypatch.setattr(linext, "_matrix", counted)
     monkeypatch.setattr(linext.PairCountMatrix, "__sub__", counted_sub)
     witness = check_gpc(poset, mode=mode)
     assert witness is not None and verify_gpc_witness(poset, witness)
     assert len(outcomes) + len(complements) == passes
-    # the one pass is over P + a<b for the witness's first pair (a, b)
-    assert outcomes == [poset.with_relation(*witness.first)]
+    # the one pass is for P + a<b, the witness's first pair (a, b), on P's lattice
+    assert len(outcomes) == 1
+    assert outcomes[0][0] is poset and outcomes[0][1] == (witness.first,)
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])
 def test_one_outcome_pass_per_first_pair(monkeypatch, mode):
-    """Each first pair the balance bound admits costs one pass, over P + a<b."""
+    """Each first pair the balance bound admits costs one pass, for P + a<b."""
     rng = random.Random(31)
-    outcomes = []
-    pair_counts = linext.pair_counts
+    passes = []
+    matrix = linext._matrix
 
-    def counted(p):
-        outcomes.append(p)
-        return pair_counts(p)
+    def counted(p, given=()):
+        passes.append((p, given))
+        return matrix(p, given)
 
-    monkeypatch.setattr(linext, "pair_counts", counted)
+    monkeypatch.setattr(linext, "_matrix", counted)
     for n in (4, 5, 6, 7, 8):
         for _ in range(6):
             poset = random_nonchain_poset(n, rng)
-            matrix = pair_counts(poset)
-            outcomes.clear()
+            passes.clear()
             witness = check_gpc(poset, mode=mode)
-            assert outcomes.pop(0) is poset
+            # P's own pass comes first, and every pass runs on P's lattice
+            assert passes.pop(0) == (poset, ())
+            assert all(p is poset for p, _ in passes)
+            counts = linext.pair_counts(poset)
             pairs = poset.incomparable_pairs()
             if witness is not None:
                 pairs = pairs[: pairs.index(witness.first) + 1]
-            larger = [max(matrix.counts[a][b], matrix.counts[b][a]) for a, b in pairs]
+            larger = [max(counts.counts[a][b], counts.counts[b][a]) for a, b in pairs]
             evaluated = [
                 pair
                 for pair, t1 in zip(pairs, larger)
-                if matrix.total >= t1 + (t1 + 1) // 2
+                if counts.total >= t1 + (t1 + 1) // 2
             ]
             assert len(evaluated) >= 1
-            assert outcomes == [poset.with_relation(a, b) for a, b in evaluated]
+            assert [given for _, given in passes] == [(pair,) for pair in evaluated]
 
 
 def test_nonadaptive_implies_adaptive():
@@ -254,13 +257,13 @@ def test_sort_cost_keeps_no_state(monkeypatch):
 def test_sort_cost_reads_memo_before_pass(monkeypatch):
     """A node with e >= 7 always recurses, so a memo hit costs no pass."""
     passes = []
-    forward = linext._forward
+    matrix = linext._matrix
 
-    def counted(poset):
+    def counted(poset, given=()):
         passes.append(poset)
-        return forward(poset)
+        return matrix(poset, given)
 
-    monkeypatch.setattr(linext, "_forward", counted)
+    monkeypatch.setattr(linext, "_matrix", counted)
     assert sort_cost(Poset.antichain(7)) == 13
     # 71 when every node ran its pass before its memo lookup
     assert len(passes) == 60

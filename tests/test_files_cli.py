@@ -171,6 +171,41 @@ def test_cli_enum_over_default_cap_fails_at_once(capsys, tmp_path):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --cap bounds enumeration only; other commands reject it
+        ["--cap", "3", "count", "table1.poset"],
+        ["--cap", str(linext.DEFAULT_ENUM_CAP), "check-gpc", "n.poset"],
+        # a cap below 1 is rejected before any work
+        ["--cap", "0", "enum", "n.poset"],
+        ["--cap", "-5", "enum", "table1.poset"],
+        ["--cap", "-5", "verify-locality", "table1_locality.json"],
+    ],
+)
+def test_cli_rejects_misplaced_or_nonpositive_cap(capsys, argv):
+    argv = argv[:-1] + [str(POSETS_DIR / argv[-1])]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--cap" in captured.err
+
+
+def test_cli_cap_is_honoured(capsys):
+    path = str(POSETS_DIR / "n.poset")
+    assert main(["--cap", "5", "enum", path]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert main(["--cap", "4", "enum", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds enumeration cap 4" in captured.err
+    spec = str(POSETS_DIR / "table1_locality.json")
+    assert main(["--cap", "1", "verify-locality", spec]) == EXIT_ERROR
+    assert "exceeds enumeration cap 1" in capsys.readouterr().err
+    # without --cap every command runs as before, enum under the default cap
+    assert main(["count", path]) == EXIT_OK
+    assert capsys.readouterr().out == "5\n"
+
+
 def test_cli_sort_cost_and_gold_bound(capsys):
     assert main(["sort-cost", str(POSETS_DIR / "p312.poset")]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"

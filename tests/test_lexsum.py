@@ -196,17 +196,30 @@ def test_lift_witness_counts_once_per_comparison(monkeypatch, n_poset):
     assert all(branch.second is not None for branch in w.branches)
     spec = compose_at(n_poset, 0, q)
     calls = []
+    builds = []
+    count = lexsum.linext._count
+    lattice = lexsum.linext._lattice
 
-    def counted(poset):
-        calls.append(poset)
-        return count_extensions(poset)
+    def counted(poset, given=()):
+        calls.append((poset, given))
+        return count(poset, given)
 
-    monkeypatch.setattr(lexsum.linext, "count_extensions", counted)
+    def built(poset):
+        if poset._lattice is None:
+            builds.append(poset)
+        return lattice(poset)
+
+    monkeypatch.setattr(lexsum.linext, "_count", counted)
+    monkeypatch.setattr(lexsum.linext, "_lattice", built)
     lifted = lift_witness(spec.poset, spec.embed[0], q, w)
     # re-verification on Q and the lift to the sum count alike: e, the first
     # branch's t1, and one orientation of each second pair
     assert len(calls) == 4 + 4
-    assert calls.count(q) == 1 and calls.count(spec.poset) == 1
+    assert sum(p is q for p, _ in calls) == 4
+    assert sum(p is spec.poset for p, _ in calls) == 4
+    assert calls.count((q, ())) == 1 and calls.count((spec.poset, ())) == 1
+    # every count runs on the lattice of Q or of the sum; Q's came with w
+    assert builds == [spec.poset]
     assert lifted.t0 == count_extensions(spec.poset)
 
 

@@ -28,6 +28,7 @@ from conftest import (
     brute_extensions,
     brute_pair_counts,
     posets,
+    twin_heavy_posets,
 )
 
 
@@ -221,16 +222,41 @@ def _count_passes(monkeypatch):
     return passes
 
 
+def _record_lattices(monkeypatch):
+    """Record the poset of every lattice of ideals built."""
+    builds = []
+    lattice = linext._lattice
+
+    def built(poset):
+        if poset._lattice is None:
+            builds.append(poset)
+        return lattice(poset)
+
+    monkeypatch.setattr(linext, "_lattice", built)
+    return builds
+
+
 def test_pair_counts_pass_runs_once_per_poset(monkeypatch):
     poset = Poset.from_relations(5, [(0, 2), (1, 2), (1, 3), (3, 4)])
-    passes = _count_passes(monkeypatch)
-    matrix = pair_counts(poset)
+    builds = _record_lattices(monkeypatch)
+    passes = []
+    matrix = linext._matrix
+
+    def counted(p, given=()):
+        passes.append((p, given))
+        return matrix(p, given)
+
+    monkeypatch.setattr(linext, "_matrix", counted)
+    first = pair_counts(poset)
     delta(poset)
     balanced_pair(poset)
     check_gpc(poset)
     check_gpc(poset, mode="nonadaptive")
-    assert pair_counts(poset) is matrix
-    assert sum(p is poset for p in passes) == 1
+    assert pair_counts(poset) is first
+    assert passes.count((poset, ())) == 1
+    # the outcomes' matrices come from P's lattice too
+    assert all(p is poset for p, _ in passes)
+    assert builds == [poset]
 
 
 def test_pair_counts_memo_leaves_equality_and_hash(n_poset):
@@ -242,6 +268,62 @@ def test_pair_counts_memo_leaves_equality_and_hash(n_poset):
     outcome = n_poset.with_relation(0, 1)
     assert outcome._pair_counts is None
     assert pair_counts(outcome).total == count_extensions(outcome) == 2
+
+
+def test_lattice_memo_leaves_equality_and_hash(monkeypatch, n_poset):
+    builds = _record_lattices(monkeypatch)
+    twin = Poset(n_poset.n, n_poset.lt)
+    before = hash(n_poset)
+    lattice = linext._lattice(n_poset)
+    assert n_poset == twin and twin == n_poset
+    assert hash(n_poset) == before == hash(twin)
+    assert twin._lattice is None
+    outcome = n_poset.with_relation(0, 1)
+    assert outcome._lattice is None and outcome._pair_counts is None
+    # a second call, and every count on P and its outcomes, builds nothing more
+    assert linext._lattice(n_poset) is lattice
+    assert linext._count(n_poset, ((0, 1),)) == pair_counts(n_poset).counts[0][1] == 2
+    assert builds == [n_poset]
+    ideals, steps, offsets = lattice
+    assert len(ideals) == len(offsets) - 1 and offsets[-1] == len(steps)
+    assert ideals[0] == 0 and ideals[-1] == (1 << n_poset.n) - 1
+
+
+def _draw_outcomes(data, poset):
+    """(given, P + given) for 0, 1 and 2 comparisons, each drawn incomparable."""
+    given = []
+    outcome = poset
+    yield (), outcome
+    for _ in range(2):
+        pairs = outcome.incomparable_pairs()
+        if not pairs:
+            return
+        a, b = data.draw(st.sampled_from(pairs))
+        if data.draw(st.booleans()):
+            a, b = b, a
+        given.append((a, b))
+        outcome = outcome.with_relation(a, b)
+        yield tuple(given), outcome
+
+
+def _check_outcomes(data, poset):
+    for given, outcome in _draw_outcomes(data, poset):
+        assert linext._count(poset, given) == brute_count(outcome)
+        matrix = linext._matrix(poset, given)
+        assert matrix.total == brute_count(outcome)
+        assert [list(row) for row in matrix.counts] == brute_pair_counts(outcome)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(7), st.data())
+def test_outcome_counts_match_brute_force(poset, data):
+    _check_outcomes(data, poset)
+
+
+@settings(max_examples=30, deadline=None)
+@given(twin_heavy_posets(7), st.data())
+def test_outcome_counts_match_brute_force_on_twins(poset, data):
+    _check_outcomes(data, poset)
 
 
 def test_count_extensions_runs_its_own_pass(monkeypatch, n_poset):

@@ -107,6 +107,19 @@ def test_with_relation_and_already_comparable():
     assert not p.is_lt(1, 2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(posets(8))
+def test_with_relation_matches_closure(poset):
+    """Adding a < b without a closure gives the closed relation and its transpose."""
+    for a, b in poset.incomparable_pairs():
+        for x, y in ((a, b), (b, a)):
+            outcome = poset.with_relation(x, y)
+            closed = Poset.from_relations(poset.n, poset.relation_pairs() + [(x, y)])
+            assert outcome.lt == closed.lt and outcome._gt == closed._gt
+            assert hash(outcome) == hash(closed) and outcome == closed
+            assert outcome.dual()._gt == outcome.lt
+
+
 def test_dual_involution(n_poset):
     assert n_poset.dual().dual() == n_poset
     assert n_poset.dual().is_lt(2, 0)
