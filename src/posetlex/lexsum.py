@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 from . import linext
 from .errors import (
@@ -89,49 +88,31 @@ def compose_at(base, i, component):
     return lex_sum(base, [component if j == i else one for j in range(base.n)])
 
 
-def _localizer(spec, i):
-    """``restrict_to_component`` for one spec, as a map from label tuples.
-
-    Block i, and the elements above and below it, are found once.  The map
-    returns the local order of Q_i.  An element above (below) the block
-    labeled at most its highest (at least its lowest) raises
-    RemarkViolationError, naming the first component at fault.
-    """
-    block = spec.embed[i]
-    first, stop = block[0], block[-1] + 1  # components are laid out consecutively
-    points = range(spec.base.n)
-    above = tuple(e for j in points if spec.base.is_lt(i, j) for e in spec.embed[j])
-    below = tuple(e for j in points if spec.base.is_lt(j, i) for e in spec.embed[j])
-    local = range(len(block))
-
-    def localize(labels):
-        values = labels[first:stop]
-        lo, hi = min(values), max(values)
-        if (above and min(map(labels.__getitem__, above)) <= hi) or (
-            below and max(map(labels.__getitem__, below)) >= lo
-        ):
-            e = min(
-                [e for e in above if labels[e] <= hi]
-                + [e for e in below if labels[e] >= lo]
-            )
-            side = "above" if e in above else "below"
-            raise RemarkViolationError(
-                f"component {spec.component_of(e)} not {side} component {i}"
-            )
-        return tuple(sorted(local, key=values.__getitem__))
-
-    return localize
-
-
 def restrict_to_component(spec, extension, i):
     """The linear order the extension induces on component i.
 
     Returns the local elements of Q_i sorted by label.  Also checks
     locality: every component above (below) i in the base must be labeled
     entirely above (below) Q_i.  A violation means the extension does not
-    belong to the sum and is reported as RemarkViolationError.
+    belong to the sum and is reported as RemarkViolationError, naming the
+    component of the least element at fault.
     """
-    return _localizer(spec, i)(extension.labels)
+    labels = extension.labels
+    values = [labels[e] for e in spec.embed[i]]
+    lo, hi = min(values), max(values)
+    above, below = [], []
+    for j in range(spec.base.n):
+        if spec.base.is_lt(i, j):
+            above += [e for e in spec.embed[j] if labels[e] <= hi]
+        elif spec.base.is_lt(j, i):
+            below += [e for e in spec.embed[j] if labels[e] >= lo]
+    if above or below:
+        e = min(above + below)
+        side = "above" if e in above else "below"
+        raise RemarkViolationError(
+            f"component {spec.component_of(e)} not {side} component {i}"
+        )
+    return tuple(sorted(range(len(values)), key=values.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -148,42 +129,41 @@ class LocalityTable:
 def locality_table(base, i, component, cap=linext.DEFAULT_ENUM_CAP):
     """Materialize the class table of the sum and verify its shape.
 
-    One depth-first walk over the ideals of the sum keys each extension by
-    the order in which it places the block of Q (its column), checking
-    locality as each element is placed and that the column is one of L(Q).
-    Then it checks that the classes are equally sized with k * e(Q) =
-    e(sum), and that the row/column reconstruction from the block's labels
-    is a bijection.
+    The pass of ``enumerate_extensions`` over the sum's lattice groups the
+    completions of each ideal by the order in which they place the block
+    of Q; at the empty ideal the groups are the classes, keyed by their
+    columns.  Locality is checked once per step of the lattice, each step
+    lying on some extension: no block element while an element below the
+    block is missing, no element above it while the block is incomplete.
+    Every column must be one of L(Q), the classes equal with k * e(Q) =
+    e(sum), counted on its own, and the row/column reconstruction exact.
     """
     spec = compose_at(base, i, component)
     columns = tuple(g.order for g in linext.enumerate_extensions(component, cap))
-    classes = {g: [] for g in columns}
+    total = linext._check_cap(spec.poset, cap)
+    n = spec.poset.n
     block = range(spec.embed[i][0], spec.embed[i][-1] + 1)
     first, stop = block.start, block.stop
+    whole = (1 << stop) - (1 << first)
     points = range(base.n)
     below = sum(1 << spec.embed[j][0] for j in points if base.is_lt(j, i))
     above = sum(1 << spec.embed[j][0] for j in points if base.is_lt(i, j))
 
-    def stray(f):
-        """Raise what the per-extension checks find wrong with f."""
-        column = _localizer(spec, i)(f.labels)
+    def mark(ideal, x):
+        if x in block:
+            return None if below & ~ideal else (x - first,)
+        return None if above >> x & 1 and whole & ~ideal else ()
+
+    groups = {}
+    for key, head, tails in linext._descend(spec.poset, mark):
+        groups.setdefault(key, []).extend([head + tail for tail in tails])
+    classes = {g: groups.pop(g, []) for g in columns}
+    if groups:
+        # An extension that breaks locality (key None) or whose column is
+        # not one of L(Q); the first in enumeration order is reported.
+        firsts = linext._unpack([fs[0] for fs in groups.values()], n)
+        column = restrict_to_component(spec, min(firsts, key=lambda f: f.order), i)
         raise PosetError(f"restriction {column} is not a linear extension of Q")
-
-    # The walk sends the extensions that break locality, or whose column is
-    # not one of L(Q), to ``strays``; the first of them raises.  Giving the
-    # block's labels in f back along f's column returns f exactly when they
-    # increase along it: they are all placed once the column is complete.
-    strays = SimpleNamespace(append=stray)
-
-    def pick(column, labels):
-        members = classes.get(column, strays)
-        if members is not strays:
-            ranks = [labels[first + q] for q in column]
-            if ranks != sorted(ranks):
-                raise PosetError("row/column reconstruction failed")
-        return members
-
-    total = linext._walk(spec.poset, cap, pick, block, below, above)
     sizes = {g: len(fs) for g, fs in classes.items()}
     if len(set(sizes.values())) != 1:
         raise PosetError(f"unequal class sizes {sizes} falsify the class table")
@@ -192,18 +172,20 @@ def locality_table(base, i, component, cap=linext.DEFAULT_ENUM_CAP):
         raise PosetError("class sizes do not tile L(sum)")
     # Giving f's block labels the reference column's order yields a row of
     # the reference class exactly when f's labels outside the block equal
-    # those of a reference member.  The walk lists every class in one order
+    # those of a reference member.  The pass lists every class in one order
     # of those labels: where two members of a class first part, it takes a
     # block element before an outside one exactly when the outside one
     # follows the block in index order, whichever block element it is.  So
     # f's partner can only be the reference member at f's own position.
-    reference = classes[columns[0]]
+    # The back-map, giving the block's labels out along f's column, returns
+    # f by construction: the column is the order the pass placed the block
+    # in.  Each class becomes LinearExtension values once checked.
+    outside = (1 << 8 * n) - (1 << 8 * stop) + (1 << 8 * first) - 1
+    reference = list(map(outside.__and__, classes[columns[0]]))
     for column in columns:
-        for f, g in zip(classes[column], reference):
-            f, g = f.labels, g.labels
-            if f[:first] != g[:first] or f[stop:] != g[stop:]:
-                raise PosetError("reconstruction left the reference class")
-        classes[column] = tuple(classes[column])
+        if list(map(outside.__and__, classes[column])) != reference:
+            raise PosetError("reconstruction left the reference class")
+        classes[column] = tuple(linext._unpack(classes[column], n))
     return LocalityTable(spec, columns, classes, k, total)
 
 

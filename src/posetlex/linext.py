@@ -1,21 +1,22 @@
 """Linear extensions: exact counting, enumeration, order probabilities.
 
-Counting walks the lattice of down-sets (order ideals): the number of
-linear extensions equals the number of maximal chains from the empty ideal
-to the full ground set, which a level-by-level dynamic program over ideal
-bitmasks computes exactly in arbitrary precision (De Loof, De Meyer &
-De Baets, "Exploiting the lattice of ideals representation of a poset",
-Fundam. Inform. 71, 2006).  ``count_extensions`` runs that pass on its
-own.  Everything else counts on P's lattice, built once per Poset and
-kept on it (``_lattice``): the ideals of P + a<b are the ideals of P that
-hold a whenever they hold b, so any outcome of comparisons is P's lattice
-with the steps it forbids dropped, and no outcome poset is built.  Pair
-probabilities come from a single pass over the lattice: a forward pass
-counts down(I) = e(P|I), a backward pass up(I) = e(P|rest), and
-#(y before x) is the sum of down(I)*up(I+x) over the ideals I that x
-extends and y lies in; the sums for every y are carried in one integer
-per x, a field per y.  All probabilities are `fractions.Fraction`; floats
-never enter a comparison.
+Everything runs on the lattice of down-sets (order ideals): a linear
+extension is a maximal chain from the empty ideal to the full ground set
+(De Loof, De Meyer & De Baets, "Exploiting the lattice of ideals
+representation of a poset", Fundam. Inform. 71, 2006).
+``count_extensions`` counts the chains in its own level-by-level pass over
+ideal bitmasks.  Everything else runs on P's lattice, built once per Poset
+and kept on it (``_lattice``).  Enumeration is one top-down pass over it:
+each ideal's completions are its successors' completions with the element
+added, packed one label per byte of an int.  Counts of outcomes need no
+outcome poset: the ideals of P + a<b are the ideals of P that hold a
+whenever they hold b, so any outcome of comparisons is P's lattice with the
+steps it forbids dropped.  Pair probabilities come from a single pass: a
+forward pass counts down(I) = e(P|I), a backward pass up(I) = e(P|rest),
+and #(y before x) is the sum of down(I)*up(I+x) over the ideals I that x
+extends and y lies in; the sums for every y are carried in one integer per
+x, a field per y.  All probabilities are `fractions.Fraction`; floats never
+enter a comparison.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, ChainError
-from .poset import Poset
 
 #: Default ceiling on e(P) for explicit enumeration of L(P), sized from
-#: memory: ``enumerate_extensions`` holds about 153 bytes per extension of
-#: an 8-point antichain, and ``locality_table`` peaks at 161-182 bytes per
-#: extension of the sums A_7 o_0 A_2 and A_2 o_0 A_7 (tracemalloc, 40,320
+#: memory: ``enumerate_extensions`` peaks at about 166 bytes per extension
+#: of an 8-point antichain, and ``locality_table`` at 181-203 bytes per
+#: extension of the sums A_2 o_0 A_7 and A_7 o_0 A_2 (tracemalloc, 40,320
 #: extensions each, A_m the m-point antichain), so a call at the cap needs
-#: about 150-180 MB.
+#: about 170-200 MB.
 DEFAULT_ENUM_CAP = 10**6
 
 
@@ -116,73 +116,71 @@ def count_extensions(poset):
 
 
 def enumerate_extensions(poset, cap=DEFAULT_ENUM_CAP):
-    """All of L(P) as LinearExtension values, in deterministic order.
-
-    At every step the currently minimal elements are taken in ascending
-    index order, so the output order is reproducible.  Raises
-    CapExceededError when e(P) exceeds ``cap``.
+    """All of L(P) as LinearExtension values, in lexicographic order of
+    ``order``.  Raises CapExceededError, before building any, when e(P)
+    exceeds ``cap``.
     """
+    _check_cap(poset, cap)
     out = []
-    _walk(poset, cap, lambda column, labels: out)
+    for _, head, tails in _descend(poset):
+        out += _unpack(tails, poset.n, head)
     return out
 
 
-def _walk(poset, cap, pick, block=range(0), below=0, above=0):
-    """The depth-first walk over the ideals of P behind enumerate_extensions.
-
-    The walk records the order in which it places the elements of ``block``
-    (a range of elements), as local indices: the block's column.  When the
-    column is complete, ``pick(column, labels)`` returns the list that takes
-    every extension below, ``labels`` holding the ranks given so far; with
-    an empty block ``pick((), labels)`` takes all of L(P).  Placing a block
-    element before all of ``below`` (a mask), or an element of ``above``
-    before the whole block, breaks locality: ``pick(None, labels)`` then
-    takes the extensions below.  Returns e(P), counted before anything is
-    placed; raises CapExceededError then when it exceeds ``cap``.
-    """
+def _check_cap(poset, cap):
+    """e(P) by ``count_extensions``; CapExceededError when above ``cap``."""
     total = count_extensions(poset)
     if total > cap:
         raise CapExceededError(f"e(P) = {total} exceeds enumeration cap {cap}")
-    n = poset.n
-    preds = [poset.below_mask(e) for e in range(n)]
-    addable = {}  # ideal -> its minimal outside elements, ascending
-    labels = [0] * n
-    column = []
-
-    def key(e, ideal):
-        """The list for extensions through e, placed while the block is open."""
-        if e not in block:
-            return pick(None, labels) if above >> e & 1 else None
-        column.append(e - block.start)
-        if below & ~ideal:
-            return pick(None, labels)
-        return pick(tuple(column), labels) if len(column) == len(block) else None
-
-    def rec(ideal, rank, members):
-        free = addable.get(ideal)
-        if free is None:
-            free = addable[ideal] = tuple(
-                e for e in range(n) if not ideal >> e & 1 and not preds[e] & ~ideal
-            )
-        if rank == n:  # one element is left: the leaf
-            e = free[0]
-            labels[e] = n
-            if members is None:  # e closes the block
-                members = key(e, ideal)
-                column.pop()
-            members.append(LinearExtension(tuple(labels)))
-            return
-        for e in free:
-            labels[e] = rank
-            if members is not None:
-                rec(ideal | 1 << e, rank + 1, members)
-            else:
-                rec(ideal | 1 << e, rank + 1, key(e, ideal))
-                if e in block:
-                    column.pop()
-
-    rec(0, 1, None if block else pick((), labels))
     return total
+
+
+def _unpack(packed, n, head=0):
+    """The LinearExtension of each ``head + f``, f packed by ``_descend``."""
+    return [LinearExtension(tuple((head + f).to_bytes(n, "little"))) for f in packed]
+
+
+def _descend(poset, mark=None):
+    """The extensions of P by one top-down pass over P's lattice, grouped.
+
+    An extension is packed into an int, rank r of element x as ``r << 8*x``
+    (ranks <= 24 < 256).  From the full ideal down, each ideal keeps its
+    completions, the labels of the elements outside it: over its steps
+    I + x in ascending x, those of I + x plus x at rank |I| + 1.  Taking
+    the least x first lists them in lexicographic order of the elements'
+    sequence.  Two levels are held at a time.  The completions are grouped
+    by a key: ``mark(ideal, x)``, called once per step, gives a tuple to
+    prepend to the keys through it, or None to make them None; without
+    ``mark`` every key is ().  The last level is yielded, not kept: one
+    ``(key, head, tails)`` per step from the empty ideal, ``head`` being
+    x's field with rank 1 and ``head + tail`` the extensions.
+    """
+    ideals, steps, offsets = _lattice(poset)
+    size = poset.n
+    level = {len(ideals) - 1: {(): [0]}}
+    for i in range(len(ideals) - 2, -1, -1):
+        ideal = ideals[i]
+        if ideal.bit_count() < size:
+            upper, level, size = level, {}, size - 1
+        groups = level[i] = {}
+        for step in steps[offsets[i] : offsets[i + 1]]:
+            x = step & 31
+            head = size + 1 << 8 * x
+            mine = mark(ideal, x) if mark else ()
+            for key, tails in (upper[step >> 5] if i else upper.pop(step >> 5)).items():
+                if mine is None or key is None:
+                    key = None
+                elif mine:
+                    key = mine + key
+                if not i:
+                    yield key, head, tails
+                    continue
+                grown = [head + tail for tail in tails]
+                known = groups.get(key)
+                if known is None:
+                    groups[key] = grown
+                else:
+                    known += grown
 
 
 def _lattice(poset):

@@ -95,7 +95,8 @@ class Poset:
         for a in range(n):
             if rows[a] >> a & 1:
                 raise CycleError("relations close to a cycle")
-        return cls(n, rows)
+        # Closed, in range and irreflexive, hence antisymmetric: valid.
+        return cls(n, rows, _trusted=True)
 
     @classmethod
     def from_permutation(cls, values):

@@ -1,5 +1,6 @@
 """The poset file format and the command-line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -332,3 +333,28 @@ def test_cli_closed_stdout_pipe_is_silent():
     proc.stderr.close()
     assert proc.wait() == EXIT_ERROR
     assert stderr == b""
+
+
+#: sha256 of ``posetlex enum FILE`` for every bundled poset within the
+#: default cap; example19.poset has e(P) above it.
+ENUM_SHA256 = {
+    "n.poset": "d99c482bb798e9d1c775f5ffc05ec945a966dde84500a72f359a65c33b91e451",
+    "p15324.poset": "8543ff660d71c5cec612b4caf6eb539c13cff212253edfb21610d69f630bf637",
+    "p163425.poset": "c5ee9fb66294d6cf87853c02b64a9be4b999cf40c705f6fa3ed496e15ab2a0dc",
+    "p312.poset": "70a263c6180786c31105998e82330513f3945b2997143feba466153dfbe61bfb",
+    "p4123.poset": "74251da84e3f32fd5befc8ce51f9d53259410cb3b5d96a0b2b414a1d0a0aee57",
+    "table1.poset": "549e067f088ec0da73a2fb091a12403341c0c26166f7fab6a2aa012dd80b63d2",
+}
+
+
+def test_cli_enum_output_is_pinned(capsys):
+    """``enum`` prints L(P) in the same order, byte for byte."""
+    within = set()
+    for path in sorted(POSETS_DIR.glob("*.poset")):
+        if count_extensions(files.load(path)) > linext.DEFAULT_ENUM_CAP:
+            continue
+        within.add(path.name)
+        assert main(["enum", str(path)]) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == ENUM_SHA256[path.name], path.name
+    assert within == set(ENUM_SHA256)

@@ -1,7 +1,9 @@
 """Lexicographic sums: construction, locality, lifting, gap profiles."""
 
 import dataclasses
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from posetlex import (
 from posetlex.conjectures import GpcWitness
 from posetlex.errors import (
     ArityMismatchError,
+    CapExceededError,
     ComponentError,
     InvalidWitnessError,
     PosetError,
@@ -40,10 +43,18 @@ from posetlex import lexsum
 from posetlex.generate import random_nonchain_poset, random_poset
 from posetlex.linext import LinearExtension
 
-from conftest import brute_count, brute_extensions, brute_locality_table, posets
+from conftest import (
+    brute_count,
+    brute_extensions,
+    brute_locality_table,
+    posets,
+    twin_heavy_posets,
+)
 
 #: The N shape: w=0 < y=2, x=1 < y=2, x=1 < z=3.
 N_POSET = Poset.from_relations(4, [(0, 2), (1, 2), (1, 3)])
+#: r, t < u: one point beside a 2-chain.
+R_TU = Poset.from_relations(3, [(1, 2)])
 
 
 def test_lex_sum_arity():
@@ -105,8 +116,10 @@ def test_restrict_to_component_locality():
 
 
 def _triples():
-    """(base, i, Q) in any labeling, with at most 7 points in the sum."""
-    return st.tuples(posets(4), posets(4)).flatmap(
+    """(base, i, Q) in any labeling, with at most 7 points in the sum; the
+    base and Q may each be twin-heavy."""
+    shapes = st.one_of(posets(4), twin_heavy_posets(4))
+    return st.tuples(shapes, shapes).flatmap(
         lambda bq: st.tuples(st.just(bq[0]), st.integers(0, bq[0].n - 1), st.just(bq[1]))
     )
 
@@ -155,6 +168,112 @@ def test_locality_table_checks_columns(monkeypatch):
     monkeypatch.setattr(lexsum, "compose_at", lambda *args: broken)
     with pytest.raises(PosetError, match=r"^restriction \(1, 0\) is not a linear extension of Q$"):
         locality_table(base, 1, component)
+
+
+def _dropped(spec, pair):
+    """``spec`` with ``pair`` missing from its sum, or None if it stays implied."""
+    pairs = [other for other in spec.poset.relation_pairs() if other != pair]
+    poset = Poset.from_relations(spec.poset.n, pairs)
+    return None if poset.is_lt(*pair) else dataclasses.replace(spec, poset=poset)
+
+
+def _first_fault(spec, i, component):
+    """The error the per-extension checks raise first on L(sum), brute force.
+
+    Extensions come in lexicographic order; the first that breaks locality
+    or restricts to an order outside L(Q) decides the message.
+    """
+    columns = brute_extensions(component)
+    for order in brute_extensions(spec.poset):
+        try:
+            column = restrict_to_component(spec, LinearExtension.from_order(order), i)
+        except RemarkViolationError as exc:
+            return RemarkViolationError, str(exc)
+        if column not in columns:
+            return PosetError, f"restriction {column} is not a linear extension of Q"
+    return None
+
+
+@pytest.mark.parametrize(
+    "base, i, component, cases",
+    [
+        # sum: 0 < {1, 2} < 3; the block has no relation inside
+        (Poset.chain(3), 1, Poset.antichain(2), 4),
+        # sum: {0, 1 < 2} < 4 > 3 < 5; (1, 4) stays implied by 1 < 2 < 4
+        (N_POSET, 0, R_TU, 3),
+    ],
+)
+def test_locality_table_step_checks_are_complete(
+    monkeypatch, base, i, component, cases
+):
+    """Drop each relation of the sum that touches the block in turn.  One
+    between the block and another component breaks locality, named by
+    that component; one inside the block gives a column outside L(Q)."""
+    spec = compose_at(base, i, component)
+    block = spec.embed[i]
+    checked = 0
+    for a, b in spec.poset.relation_pairs():
+        broken = _dropped(spec, (a, b))
+        if broken is None or (a not in block and b not in block):
+            continue
+        monkeypatch.setattr(lexsum, "compose_at", lambda *args: broken)
+        if a in block and b in block:
+            error, message = _first_fault(broken, i, component)
+            assert error is PosetError
+        else:
+            other, side = (b, "above") if a in block else (a, "below")
+            error = RemarkViolationError
+            message = f"component {spec.component_of(other)} not {side} component {i}"
+            assert _first_fault(broken, i, component) == (error, message)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            locality_table(base, i, component)
+        checked += 1
+    assert checked == cases
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triples(), st.data())
+def test_locality_table_reports_first_fault(triple, data):
+    """With any one relation of the sum dropped, the step checks raise what
+    the per-extension checks raise on the first faulty extension."""
+    base, i, q = triple
+    spec = compose_at(base, i, q)
+    pairs = spec.poset.relation_pairs()
+    if not pairs:
+        return
+    broken = _dropped(spec, data.draw(st.sampled_from(pairs)))
+    if broken is None:
+        return
+    expected = _first_fault(broken, i, q)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lexsum, "compose_at", lambda *args: broken)
+        if expected is None:
+            table = locality_table(base, i, q)
+            assert table.k * len(table.columns) == brute_count(broken.poset)
+        else:
+            error, message = expected
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                locality_table(base, i, q)
+
+
+@pytest.mark.parametrize(
+    "base, i, component",
+    [
+        (Poset.chain(3), 1, Poset.antichain(2)),  # e(sum) = e(Q) = 2
+        (N_POSET, 0, R_TU),  # 42 = 14 * 3
+        (Poset.antichain(3), 0, Poset.antichain(2)),  # 24 = 12 * 2
+    ],
+)
+def test_locality_table_cap_boundary(base, i, component):
+    """A cap of e(sum) builds the table; below it the cap binds on the sum,
+    and below e(Q) on Q, before the sum is looked at."""
+    e_q = count_extensions(component)
+    e_sum = count_extensions(compose_at(base, i, component).poset)
+    assert locality_table(base, i, component, cap=e_sum).total == e_sum
+    for cap, e in ((e_sum - 1, e_sum if e_q < e_sum else e_q), (e_q - 1, e_q)):
+        message = f"^e\\(P\\) = {e} exceeds enumeration cap {cap}$"
+        with pytest.raises(CapExceededError, match=message):
+            locality_table(base, i, component, cap=cap)
 
 
 def test_divisibility_product():
@@ -287,6 +406,20 @@ def test_gap_profile_matches_brute_force(p, data):
         reduced = tuple(e for e in order if e != point)
         assert expected.setdefault(reduced, k) == k
     assert gap_profile(p, point).classes == expected
+
+
+def test_gap_profile_order_is_pinned():
+    """gap_profile lists its classes in enumeration order; the order of
+    enumerate_extensions is pinned by one sha256 over seeded posets."""
+    rng = random.Random(20241019)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        p = random_poset(rng.randint(1, 8), rng)
+        for point in range(p.n):
+            digest.update(repr(list(gap_profile(p, point).classes.items())).encode())
+    assert digest.hexdigest() == (
+        "1dbb4936cdc4e2473b639e51e58abd624c291be8f6b31c7546b861b41c456c57"
+    )
 
 
 def test_gap_profile_predicts_substitution(point_and_chain):

@@ -88,6 +88,24 @@ def test_enumerate_cap():
         enumerate_extensions(Poset.antichain(6), cap=10)
 
 
+@pytest.mark.parametrize(
+    "poset",
+    [
+        Poset.antichain(1),
+        Poset.antichain(4),
+        Poset.from_relations(4, [(0, 2), (1, 2), (1, 3)]),  # the N poset
+        Poset.from_permutation([1, 5, 3, 2, 4]),
+    ],
+)
+def test_enumerate_cap_boundary(poset):
+    """A cap of exactly e(P) enumerates everything; one less enumerates nothing."""
+    total = count_extensions(poset)
+    assert len(enumerate_extensions(poset, cap=total)) == total
+    message = f"^e\\(P\\) = {total} exceeds enumeration cap {total - 1}$"
+    with pytest.raises(CapExceededError, match=message):
+        enumerate_extensions(poset, cap=total - 1)
+
+
 def test_enumerate_default_cap_fails_at_once():
     # 10! = 3,628,800 extensions would hold about 700 MB; the cap check
     # costs one count over 2**10 ideals.

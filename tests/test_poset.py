@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetlex import Poset, are_isomorphic
+from posetlex.poset import _validate
 from posetlex.errors import (
     AlreadyComparableError,
     CycleError,
@@ -51,6 +52,46 @@ def test_from_relations_closes_transitively():
     p = Poset.from_relations(3, [(0, 1), (1, 2)])
     assert p.is_lt(0, 2)
     assert p.relation_pairs() == [(0, 1), (0, 2), (1, 2)]
+
+
+def _reach(n, pairs):
+    """reach[a] = the elements a path of the given pairs leads to from a."""
+    reach = [set() for _ in range(n)]
+    for a in range(n):
+        stack = [b for x, b in pairs if x == a]
+        while stack:
+            b = stack.pop()
+            if b not in reach[a]:
+                reach[a].add(b)
+                stack.extend(c for x, c in pairs if x == b)
+    return reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=2 * n),
+        )
+    )
+)
+def test_from_relations_is_valid_or_rejected(case):
+    """Out-of-range pairs and cycles are rejected; anything else comes out
+    closed, irreflexive and antisymmetric, as ``_validate`` demands."""
+    n, pairs = case
+    if any(not (0 <= a < n and 0 <= b < n) for a, b in pairs):
+        with pytest.raises(ValueError, match="out of range"):
+            Poset.from_relations(n, pairs)
+        return
+    reach = _reach(n, pairs)
+    if any(a in reach[a] for a in range(n)):
+        with pytest.raises(CycleError):
+            Poset.from_relations(n, pairs)
+        return
+    poset = Poset.from_relations(n, pairs)
+    _validate(n, poset.lt)
+    assert poset.relation_pairs() == sorted((a, b) for a in range(n) for b in reach[a])
 
 
 def test_cycle_detected():
