@@ -38,11 +38,12 @@ def _fraction_str(value):
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def _report(args, command, poset, payload, started, extensions=None):
+def _report(args, command, poset, payload, extensions=None):
     """Emit a machine report (--json) or return False to let callers print.
 
     ``extensions`` is e(poset) when the caller already holds it; otherwise
-    the report counts it.
+    the report counts it.  ``wall_time_s`` runs from ``args.started``,
+    stamped by ``main`` before the handler.
     """
     if not args.json:
         return False
@@ -54,38 +55,35 @@ def _report(args, command, poset, payload, started, extensions=None):
         if poset is None
         else {
             "elements": poset.n,
-            "relations": len(poset.relation_pairs()),
+            "relations": sum(row.bit_count() for row in poset.lt),
             "extensions": str(extensions),
         },
         "result": payload,
-        "wall_time_s": round(time.perf_counter() - started, 6),
+        "wall_time_s": round(time.perf_counter() - args.started, 6),
     }
     print(json.dumps(doc, indent=2))
     return True
 
 
 def _cmd_count(args):
-    started = time.perf_counter()
     poset = files.load(args.file)
     total = linext.count_extensions(poset)
-    if not _report(args, "count", poset, {"extensions": str(total)}, started, total):
+    if not _report(args, "count", poset, {"extensions": str(total)}, total):
         print(total)
     return EXIT_OK
 
 
 def _cmd_enum(args):
-    started = time.perf_counter()
     poset = files.load(args.file)
     extensions = linext.enumerate_extensions(poset, args.cap)
     rows = [" ".join(str(v) for v in ext.labels) for ext in extensions]
-    if not _report(args, "enum", poset, {"rows": rows}, started, len(extensions)):
+    if not _report(args, "enum", poset, {"rows": rows}, len(extensions)):
         for row in rows:
             print(row)
     return EXIT_OK
 
 
 def _cmd_probs(args):
-    started = time.perf_counter()
     poset = files.load(args.file)
     matrix = linext.pair_counts(poset)
     lines = []
@@ -101,7 +99,7 @@ def _cmd_probs(args):
             {"x": x, "y": y, "prob": p, "approx": d} for x, y, p, d in lines
         ],
     }
-    if not _report(args, "probs", poset, payload, started, matrix.total):
+    if not _report(args, "probs", poset, payload, matrix.total):
         print("x\ty\tprob\tapprox")
         for x, y, p, d in lines:
             print(f"{x}\t{y}\t{p}\t{d}")
@@ -109,7 +107,6 @@ def _cmd_probs(args):
 
 
 def _cmd_delta(args):
-    started = time.perf_counter()
     poset = files.load(args.file)
     value, pair = linext.delta(poset)
     payload = {
@@ -117,13 +114,12 @@ def _cmd_delta(args):
         "approx": float(value),
         "pair": list(pair),
     }
-    if not _report(args, "delta", poset, payload, started):
+    if not _report(args, "delta", poset, payload):
         print(f"delta = {_fraction_str(value)} ({float(value):.6f}) at pair {pair}")
     return EXIT_OK
 
 
 def _cmd_check_13_23(args):
-    started = time.perf_counter()
     poset = files.load(args.file)
     found = linext.balanced_pair(poset)
     if found is None:
@@ -133,7 +129,7 @@ def _cmd_check_13_23(args):
             "delta": _fraction_str(value),
             "delta_pair": list(pair),
         }
-        if not _report(args, "check-13-23", poset, payload, started):
+        if not _report(args, "check-13-23", poset, payload):
             print(
                 "FAILURE: no balanced pair; "
                 f"delta = {_fraction_str(value)} at {pair}"
@@ -145,13 +141,12 @@ def _cmd_check_13_23(args):
         "pair": list(pair),
         "prob": _fraction_str(ratio),
     }
-    if not _report(args, "check-13-23", poset, payload, started):
+    if not _report(args, "check-13-23", poset, payload):
         print(f"balanced pair {pair} with P(x<y) = {_fraction_str(ratio)}")
     return EXIT_OK
 
 
 def _cmd_check_gpc(args):
-    started = time.perf_counter()
     if args.nonadaptive and args.via_decomposition:
         raise ValueError(
             "--via-decomposition lifts adaptive witnesses only; "
@@ -171,35 +166,33 @@ def _cmd_check_gpc(args):
             "delta": _fraction_str(value),
             "delta_pair": list(pair),
         }
-        if not _report(args, "check-gpc", poset, payload, started):
+        if not _report(args, "check-gpc", poset, payload):
             print(
                 f"FAILURE: no gold-partition witness ({mode}); "
                 f"delta = {_fraction_str(value)} at {pair}"
             )
         return EXIT_FAILURE
     payload = witness.to_json_dict()
-    if not _report(args, "check-gpc", poset, payload, started, witness.t0):
+    if not _report(args, "check-gpc", poset, payload, witness.t0):
         print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def _cmd_sort_cost(args):
-    started = time.perf_counter()
     poset = files.load(args.file)
     cost = conjectures.sort_cost(poset)
-    if not _report(args, "sort-cost", poset, {"comparisons": cost}, started):
+    if not _report(args, "sort-cost", poset, {"comparisons": cost}):
         print(cost)
     return EXIT_OK
 
 
 def _cmd_gold_bound(args):
-    started = time.perf_counter()
     poset = files.load(args.file)
     cost = conjectures.sort_cost(poset)
     total = linext.count_extensions(poset)
     holds = conjectures._gold_bound(total, cost)
     payload = {"holds": holds, "sort_cost": cost, "extensions": str(total)}
-    if not _report(args, "gold-bound", poset, payload, started, total):
+    if not _report(args, "gold-bound", poset, payload, total):
         print(f"C(P) = {cost}, e(P) = {total}, bound holds: {holds}")
     return EXIT_OK if holds else EXIT_FAILURE
 
@@ -229,7 +222,6 @@ def _cmd_compose_at(args):
 
 
 def _cmd_verify_locality(args):
-    started = time.perf_counter()
     with open(args.spec, encoding="utf-8") as handle:
         doc = json.load(handle)
     base = files.load(doc["base"])
@@ -243,15 +235,12 @@ def _cmd_verify_locality(args):
         "divisible": table.total % len(table.columns) == 0,
         "reconstruction_ok": True,
     }
-    if not _report(
-        args, "verify-locality", table.spec.poset, payload, started, table.total
-    ):
+    if not _report(args, "verify-locality", table.spec.poset, payload, table.total):
         print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def _cmd_lift_gpc(args):
-    started = time.perf_counter()
     base = files.load(args.base)
     component = files.load(args.component)
     witness = conjectures.check_gpc(component)
@@ -267,13 +256,12 @@ def _cmd_lift_gpc(args):
         "lifted_witness": lifted.to_json_dict(),
         "k": lifted.t0 // witness.t0,
     }
-    if not _report(args, "lift-gpc", spec.poset, payload, started, lifted.t0):
+    if not _report(args, "lift-gpc", spec.poset, payload, lifted.t0):
         print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def _cmd_decompose(args):
-    started = time.perf_counter()
     poset = files.load(args.file)
     split = run_decompose(poset)
     if split is None:
@@ -286,7 +274,7 @@ def _cmd_decompose(args):
             "index": split.index,
             "members": list(split.members),
         }
-    if not _report(args, "decompose", poset, payload, started):
+    if not _report(args, "decompose", poset, payload):
         print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -298,11 +286,10 @@ def _cmd_dot(args):
 
 
 def _cmd_sweep(args):
-    started = time.perf_counter()
     mode = "nonadaptive" if args.nonadaptive else "adaptive"
     summary = survey.sweep(args.max_n, mode=mode)
     payload = summary.to_json_dict()
-    if not _report(args, "sweep", None, payload, started):
+    if not _report(args, "sweep", None, payload):
         print(
             f"posets on <= {summary.max_n} labeled elements: {summary.total} "
             f"({summary.checked} non-chains checked, mode {mode})"
@@ -394,6 +381,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_cap(args)
+        args.started = time.perf_counter()
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -11,6 +11,7 @@ closed-form probability after substituting a chain at one point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,19 +118,31 @@ def restrict_to_component(spec, extension, i):
 
 @dataclass(frozen=True)
 class LocalityTable:
-    """L(P o_i Q) organized as equal-size classes, one per order of Q."""
+    """L(P o_i Q) organized as equal-size classes, one per order of Q.
+
+    The classes are kept packed as ``_descend`` yields them, rank r of
+    element x as ``r << 8*x``; ``classes`` unpacks them on first read.
+    """
 
     spec: LexSumSpec
     columns: tuple  # local orders of Q, in enumeration order
-    classes: dict  # column -> tuple of extensions of the sum
+    packed: dict  # column -> list of packed extensions of the sum
     k: int  # common class size
     total: int  # e of the sum
 
+    @functools.cached_property
+    def classes(self):
+        """column -> tuple of LinearExtension values of the sum."""
+        n = self.spec.poset.n
+        return {g: tuple(linext._unpack(fs, n)) for g, fs in self.packed.items()}
+
 
 def locality_table(base, i, component, cap=linext.DEFAULT_ENUM_CAP):
-    """Materialize the class table of the sum and verify its shape.
+    """Build the class table of the sum and verify its shape.
 
-    The pass of ``enumerate_extensions`` over the sum's lattice groups the
+    A pass over Q's own lattice lists the columns, L(Q): keyed by every
+    element it places, each key at the empty ideal is one whole order, in
+    lexicographic order.  A pass over the sum's lattice groups the
     completions of each ideal by the order in which they place the block
     of Q; at the empty ideal the groups are the classes, keyed by their
     columns.  Locality is checked once per step of the lattice, each step
@@ -137,9 +150,12 @@ def locality_table(base, i, component, cap=linext.DEFAULT_ENUM_CAP):
     block is missing, no element above it while the block is incomplete.
     Every column must be one of L(Q), the classes equal with k * e(Q) =
     e(sum), counted on its own, and the row/column reconstruction exact.
+    The classes are returned packed, as the pass built them.
     """
     spec = compose_at(base, i, component)
-    columns = tuple(g.order for g in linext.enumerate_extensions(component, cap))
+    linext._check_cap(component, cap)
+    orders = linext._descend(component, lambda ideal, x: (x,))
+    columns = tuple(key for key, _, _ in orders)
     total = linext._check_cap(spec.poset, cap)
     n = spec.poset.n
     block = range(spec.embed[i][0], spec.embed[i][-1] + 1)
@@ -179,13 +195,12 @@ def locality_table(base, i, component, cap=linext.DEFAULT_ENUM_CAP):
     # f's partner can only be the reference member at f's own position.
     # The back-map, giving the block's labels out along f's column, returns
     # f by construction: the column is the order the pass placed the block
-    # in.  Each class becomes LinearExtension values once checked.
+    # in.
     outside = (1 << 8 * n) - (1 << 8 * stop) + (1 << 8 * first) - 1
     reference = list(map(outside.__and__, classes[columns[0]]))
     for column in columns:
         if list(map(outside.__and__, classes[column])) != reference:
             raise PosetError("reconstruction left the reference class")
-        classes[column] = tuple(linext._unpack(classes[column], n))
     return LocalityTable(spec, columns, classes, k, total)
 
 

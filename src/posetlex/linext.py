@@ -29,11 +29,12 @@ from fractions import Fraction
 from .errors import CapExceededError, ChainError
 
 #: Default ceiling on e(P) for explicit enumeration of L(P), sized from
-#: memory: ``enumerate_extensions`` peaks at about 166 bytes per extension
-#: of an 8-point antichain, and ``locality_table`` at 181-203 bytes per
-#: extension of the sums A_2 o_0 A_7 and A_7 o_0 A_2 (tracemalloc, 40,320
+#: memory: ``enumerate_extensions`` peaks at about 165 bytes per extension
+#: of an 8-point antichain, and ``locality_table`` at 89-177 bytes per
+#: extension of the sums A_7 o_0 A_2 and A_2 o_0 A_7 (tracemalloc, 40,320
 #: extensions each, A_m the m-point antichain), so a call at the cap needs
-#: about 170-200 MB.
+#: about 90-180 MB.  Reading a table's ``classes`` adds the unpacked
+#: extensions to the packed ones: 202-229 bytes per extension in all.
 DEFAULT_ENUM_CAP = 10**6
 
 

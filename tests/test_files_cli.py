@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 from posetlex import Poset, count_extensions, files, linext
 from posetlex.cli import EXIT_ERROR, EXIT_OK, main
 from posetlex.files import FormatError
+from posetlex.generate import random_nonchain_poset, random_poset
 
 from conftest import POSETS_DIR
 
@@ -271,6 +273,38 @@ def test_cli_verify_locality(tmp_path, capsys):
     assert doc["k"] == 14
     assert doc["e"] == "42"
     assert doc["divisible"] is True
+
+
+def _seeded_locality_spec(tmp_path):
+    """A verify-locality spec for one seeded triple, P and Q written out."""
+    rng = random.Random(14)
+    base, component = random_poset(4, rng), random_nonchain_poset(3, rng)
+    paths = [tmp_path / "P.poset", tmp_path / "Q.poset"]
+    files.dump(base, paths[0])
+    files.dump(component, paths[1])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base": str(paths[0]), "index": 1, "component": str(paths[1])}))
+    return spec
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["table1", "seeded"])
+def test_cli_verify_locality_unpacks_nothing(capsys, monkeypatch, tmp_path, seeded):
+    """verify-locality reads the packed class table: no extension of Q or
+    of the sum becomes a LinearExtension."""
+    unpack, unpacked = linext._unpack, []
+
+    def counted(packed, n, head=0):
+        out = unpack(packed, n, head)
+        unpacked.extend(out)
+        return out
+
+    monkeypatch.setattr(linext, "_unpack", counted)
+    monkeypatch.chdir(POSETS_DIR.parent)  # the locality spec names posets/...
+    spec = _seeded_locality_spec(tmp_path) if seeded else POSETS_DIR / "table1_locality.json"
+    assert main(["--json", "verify-locality", str(spec)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert int(doc["input"]["extensions"]) == doc["result"]["k"] * doc["result"]["columns"]
+    assert unpacked == []
 
 
 def test_cli_lift_gpc(capsys):

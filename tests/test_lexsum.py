@@ -39,7 +39,7 @@ from posetlex.errors import (
     PosetError,
     RemarkViolationError,
 )
-from posetlex import lexsum
+from posetlex import lexsum, linext
 from posetlex.generate import random_nonchain_poset, random_poset
 from posetlex.linext import LinearExtension
 
@@ -141,6 +141,24 @@ def test_locality_table_shape(triple):
         assert [f.order for f in table.classes[column]] == classes[column]
         assert len(table.classes[column]) == table.k
     assert table.k * len(columns) == table.total == brute_count(table.spec.poset)
+
+
+@pytest.mark.parametrize(
+    "base, i, component",
+    [
+        (N_POSET, 0, R_TU),
+        (Poset.antichain(3), 1, Poset.antichain(2)),
+        (N_POSET, 2, Poset.chain(3)),
+    ],
+)
+def test_locality_table_classes_unpack_packed_once(base, i, component):
+    """``classes`` is ``packed`` unpacked, built on first read and kept."""
+    table = locality_table(base, i, component)
+    assert list(table.packed) == list(table.columns)
+    assert table.classes is table.classes
+    n = table.spec.poset.n
+    for column, members in table.classes.items():
+        assert members == tuple(linext._unpack(table.packed[column], n))
 
 
 @pytest.mark.parametrize(
