@@ -82,19 +82,15 @@ def worst_count(poset, given, total, c, d):
     return max(before, total - before)
 
 
-def _incomparable_after(poset, x, y):
-    """The pairs (c, d), c < d by index, incomparable in P + x<y.
+def _stays_incomparable(poset, x, y, c, d):
+    """Whether c and d, incomparable in P, are still incomparable in P + x<y.
 
     c < d holds in P + x<y exactly when it holds in P, or c <= x and
     y <= d, so P's rows decide it without building the outcome.
     """
     low = poset.below_mask(x) | 1 << x
     high = poset.above_mask(y) | 1 << y
-    return [
-        (c, d)
-        for c, d in poset.incomparable_pairs()
-        if not (low >> c & 1 and high >> d & 1 or low >> d & 1 and high >> c & 1)
-    ]
+    return not (low >> c & 1 and high >> d & 1 or low >> d & 1 and high >> c & 1)
 
 
 def _least_t2(t1, strict):
@@ -147,9 +143,11 @@ def check_gpc(poset, mode="adaptive", strict=False):
     computed on P's lattice of ideals.  A first pair one of whose outcomes
     has t0 < t1 + ceil(t1/2) cannot pass, since every second pair leaves
     t2 >= ceil(t1/2), so it is skipped without a pass over that outcome.
-    Otherwise one pass is run, for P + a<b; the matrix of P + b<a is P's
-    less that one, and is taken only when the first outcome admits a
-    second pair.
+    Otherwise the matrix of P + a<b is read, and the matrix of P + b<a is
+    P's less that one, taken only when the first outcome admits a second
+    pair.  The matrices of P and of each P + a<b are kept on the poset
+    (``linext._kept_matrix``), so both modes, and every later call, share
+    one pass for each.
     """
     if mode not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -157,12 +155,13 @@ def check_gpc(poset, mode="adaptive", strict=False):
         raise ChainError("the gold partition conjecture concerns non-chains")
     matrix = linext.pair_counts(poset)
     t0 = matrix.total
-    for a, b in poset.incomparable_pairs():
+    pairs = poset.incomparable_pairs()
+    for a, b in pairs:
         # t1 + _least_t2(t1) grows with t1, so the larger outcome decides.
         t1 = max(matrix.counts[a][b], matrix.counts[b][a])
         if not _partition_ok(t0, t1, _least_t2(t1, strict), strict):
             continue  # no second pair can satisfy the inequality
-        a_first = linext._matrix(poset, ((a, b),))
+        a_first = linext._kept_matrix(poset, ((a, b),))
         options = []
         for result in ((a, b), (b, a)):
             outcome = a_first if result == (a, b) else matrix - a_first
@@ -175,14 +174,17 @@ def check_gpc(poset, mode="adaptive", strict=False):
         if mode == "adaptive":
             picks = [next(iter(seconds)) for _, _, seconds in options]
         else:
-            shared = [
-                pair
-                for pair in poset.incomparable_pairs()
-                if all(pair in seconds or None in seconds for _, _, seconds in options)
-            ]
-            if not shared:
+            shared = next(
+                (
+                    pair
+                    for pair in pairs
+                    if all(pair in seconds or None in seconds for _, _, seconds in options)
+                ),
+                None,
+            )
+            if shared is None:
                 continue
-            picks = [None if None in seconds else shared[0] for _, _, seconds in options]
+            picks = [None if None in seconds else shared for _, _, seconds in options]
         branches = tuple(
             GpcBranch(result, t1, pick, seconds[pick])
             for (result, t1, seconds), pick in zip(options, picks)
@@ -199,7 +201,10 @@ def verify_gpc_witness(poset, witness):
     each outcome, not the pair-count matrices the search reads, so they
     check it independently.  Each comparison costs one count, its other
     outcome being the rest: the second branch's t1 is t0 less the
-    first's, and a second pair's other outcome is the rest of t1.
+    first's, and a second pair's other outcome is the rest of t1.  A
+    recorded second pair must be two points incomparable in the outcome,
+    read off P's rows; the outcome's other pairs are listed only for a
+    branch with no second pair and t1 > 1.
 
     A branch with no second pair is accepted when the outcome is a chain
     (t1 = 1, the vacuous count), or when some actual second comparison
@@ -219,19 +224,25 @@ def verify_gpc_witness(poset, witness):
         t1 = linext._count(poset, given) if t1 is None else witness.t0 - t1
         if t1 != branch.t1:
             return False
-        seconds = _incomparable_after(poset, *branch.result)
         if branch.second is None:
             if t1 == 1:
                 if branch.t2 != (0 if witness.strict else 1):
                     return False
             elif not any(
-                worst_count(poset, given, t1, c, d) <= branch.t2 for c, d in seconds
+                worst_count(poset, given, t1, c, d) <= branch.t2
+                for c, d in poset.incomparable_pairs()
+                if _stays_incomparable(poset, *branch.result, c, d)
             ):
                 return False
             t2 = branch.t2
         else:
             c, d = branch.second
-            if (min(c, d), max(c, d)) not in seconds:
+            if not (
+                0 <= c < poset.n
+                and 0 <= d < poset.n
+                and poset.incomparable_mask(c) >> d & 1
+                and _stays_incomparable(poset, *branch.result, c, d)
+            ):
                 return False
             t2 = worst_count(poset, given, t1, c, d)
             if t2 != branch.t2:

@@ -14,27 +14,33 @@ from dataclasses import dataclass
 
 from . import conjectures, lexsum
 from .errors import SizeCapError
-from .poset import Poset, _bits
+from .poset import MAX_ELEMENTS, Poset, _bits
 
 #: Largest poset whose autonomous sets are listed: an antichain on n points
 #: has 2^n - n - 2 of them.
 AUTONOMY_CAP = 20
 
 
-def _span(poset, mask):
+def _span(poset, mask, limit=MAX_ELEMENTS):
     """Smallest autonomous set containing ``mask``.
 
     Adds every splitter, an outside element that relates to some members
     but not to all, until none is left.  Each splitter lies in every
     autonomous set containing ``mask``, so the result is the smallest one.
+    A set grown past ``limit`` elements is returned as it stands, even in
+    mid-round: its span is at least as large.
     """
     while True:
         grown = mask
+        size = mask.bit_count()
         for z in _bits(((1 << poset.n) - 1) & ~mask):
             up = poset.above_mask(z) & mask
             down = poset.below_mask(z) & mask
             if up not in (0, mask) or down not in (0, mask):
                 grown |= 1 << z
+                size += 1
+                if size > limit:
+                    return grown
         if grown == mask:
             return mask
         mask = grown
@@ -50,15 +56,21 @@ def _smallest(poset, nonchain):
     Each autonomous set holding x and y holds their span, so the smallest
     one is the span of a pair (McConnell & Spinrad, Discrete Math. 201,
     1999).  With ``nonchain`` only sets inducing a non-chain factor count:
-    they hold an incomparable pair, so only those pairs are spanned.
+    they hold an incomparable pair, so only those pairs are spanned.  A
+    span stops growing once it is larger than the smallest found so far
+    (at first n - 1 elements, leaving out the whole poset).
     """
     if nonchain:
         pairs = poset.incomparable_pairs()
     else:
         pairs = itertools.combinations(range(poset.n), 2)
-    full = (1 << poset.n) - 1
-    spans = {_span(poset, 1 << x | 1 << y) for x, y in pairs} - {full}
-    return min(spans, key=_size_then_mask, default=None)
+    best, limit = None, poset.n - 1
+    for x, y in pairs:
+        span = _span(poset, 1 << x | 1 << y, limit)
+        size = span.bit_count()
+        if size < limit or size == limit and (best is None or span < best):
+            best, limit = span, size
+    return best
 
 
 def is_autonomous(poset, members):

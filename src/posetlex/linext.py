@@ -15,8 +15,9 @@ steps it forbids dropped.  Pair probabilities come from a single pass: a
 forward pass counts down(I) = e(P|I), a backward pass up(I) = e(P|rest),
 and #(y before x) is the sum of down(I)*up(I+x) over the ideals I that x
 extends and y lies in; the sums for every y are carried in one integer per
-x, a field per y.  All probabilities are `fractions.Fraction`; floats never
-enter a comparison.
+x, a field per y.  The matrices of P and of the outcomes ``check_gpc``
+reads are kept on the Poset too (``_kept_matrix``).  All probabilities
+are `fractions.Fraction`; floats never enter a comparison.
 """
 
 from __future__ import annotations
@@ -296,15 +297,28 @@ def _matrix(poset, given=()):
     return PairCountMatrix(tuple(zip(*before)), total)
 
 
+def _kept_matrix(poset, given=()):
+    """``_matrix(P, given)``, computed once per Poset instance and ``given``.
+
+    The matrices are kept on the poset in a dict keyed by ``given``, () for
+    P's own; later calls return the same (immutable) value.
+    """
+    kept = poset._pair_counts
+    if kept is None:
+        kept = poset._pair_counts = {}
+    matrix = kept.get(given)
+    if matrix is None:
+        matrix = kept[given] = _matrix(poset, given)
+    return matrix
+
+
 def pair_counts(poset):
     """Exact before/after counts for every ordered pair: ``_matrix(P)``.
 
-    The matrix is computed once per Poset instance: the first call keeps
-    it on the poset and later calls return that same (immutable) value.
+    The matrix is computed once per Poset instance and kept on it, beside
+    the outcome matrices ``check_gpc`` reads (``_kept_matrix``).
     """
-    if poset._pair_counts is None:
-        poset._pair_counts = _matrix(poset)
-    return poset._pair_counts
+    return _kept_matrix(poset)
 
 
 def prob(poset, x, y):

@@ -8,9 +8,11 @@ closed, and posets are immutable afterwards, so instances are safe to
 share, hash and use as dictionary keys.  Two derived values are cached on
 the instance, and equality and hashing ignore both: ``linext._lattice``
 keeps P's lattice of ideals in ``_lattice`` (structure only, never a
-count), and ``linext.pair_counts`` keeps P's pair-count matrix in
-``_pair_counts``.  A poset derived from another, such as an outcome of
-``with_relation``, starts with neither.
+count), and ``linext._kept_matrix`` keeps in ``_pair_counts`` a dict from
+``given``, a tuple of comparisons, to the pair-count matrix of P + given:
+``()`` for P's own, which ``pair_counts`` reads, and one entry per outcome
+P + a<b that ``check_gpc`` reads.  A poset derived from another, such as
+an outcome of ``with_relation``, starts with neither.
 
 ``Poset.canonical_form`` gives every poset up to ``MAX_ELEMENTS`` points a
 key that is equal exactly across isomorphic posets, with |Aut(P)|.  It
@@ -160,10 +162,14 @@ class Poset:
     def incomparable_pairs(self):
         """Each unordered incomparable pair once, as (a, b) with a < b."""
         out = []
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if not (self.lt[a] >> b & 1 or self.lt[b] >> a & 1):
-                    out.append((a, b))
+        full = (1 << self.n) - 1
+        lt, gt = self.lt, self._gt
+        for a in range(self.n - 1):
+            m = full >> a + 1 << a + 1 & ~(lt[a] | gt[a])
+            while m:
+                low = m & -m
+                out.append((a, low.bit_length() - 1))
+                m ^= low
         return out
 
     def is_chain(self):

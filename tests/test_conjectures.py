@@ -301,3 +301,20 @@ def test_information_lower_bound():
     assert sort_cost(Poset.antichain(4)) >= information_lower_bound(
         Poset.antichain(4)
     )
+
+
+def test_verify_rejects_second_pair_comparable_in_outcome():
+    # 0 < 2 beside 1: in the chain outcome 1 < 0 < 2, the pair (1, 2) is
+    # ordered though P leaves it incomparable.  Counted as a comparison it
+    # would leave max(1, 0) = 1 = t2, and 3 >= 1 + 1 would hold.
+    p = Poset.from_relations(3, [(0, 2)])
+    w = check_gpc(p)
+    assert w.first == (0, 1) and verify_gpc_witness(p, w)
+    b = w.branches[1]
+    assert b.result == (1, 0) and (b.t1, b.t2) == (1, 1)
+    assert not p.is_lt(1, 2) and p.with_relation(1, 0).is_lt(1, 2)
+    for second in ((1, 2), (2, 1)):
+        forged = GpcBranch(b.result, b.t1, second, b.t1)
+        witness = GpcWitness(w.first, w.t0, (w.branches[0], forged), w.strict)
+        assert witness.holds()
+        assert not verify_gpc_witness(p, witness)
