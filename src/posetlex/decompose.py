@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import conjectures, lexsum
-from .errors import SizeCapError
+from .errors import InvalidWitnessError, SizeCapError
 from .poset import MAX_ELEMENTS, Poset, _bits
 
 #: Largest poset whose autonomous sets are listed: an antichain on n points
@@ -156,19 +156,22 @@ def decompose(poset):
 
 
 def gpc_via_decomposition(poset, strict=False):
-    """Gold-partition witness for P, through a non-chain factor when one exists.
+    """Gold-partition witness for P, lifted from its smallest non-chain factor.
 
-    Recurses into the factor (which may itself decompose) and lifts the
-    witness; falls back to the direct search when the poset is
-    indecomposable or every available factor is a chain.  Returns None only
-    if the direct check fails, which would refute the conjecture.
+    That factor holds no smaller one, so it is searched directly.  The
+    direct search on P answers when there is no such factor, the factor
+    has no witness, or the lift breaks the inequality (under ``strict``, a
+    factor with e = 2 ties it), so the result is None exactly when
+    ``check_gpc`` is.
     """
     chosen = _smallest(poset, True)
-    if chosen is None:
-        return conjectures.check_gpc(poset, strict=strict)
-    members = tuple(_bits(chosen))
-    factor = poset.induced(members)
-    inner = gpc_via_decomposition(factor, strict=strict)
-    if inner is None:
-        return None
-    return lexsum.lift_witness(poset, members, factor, inner)
+    if chosen is not None:
+        members = tuple(_bits(chosen))
+        factor = poset.induced(members)
+        witness = conjectures.check_gpc(factor, strict=strict)
+        if witness is not None:
+            try:
+                return lexsum.lift_witness(poset, members, factor, witness)
+            except InvalidWitnessError:
+                pass
+    return conjectures.check_gpc(poset, strict=strict)

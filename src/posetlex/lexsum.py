@@ -224,10 +224,12 @@ def lift_witness(sum_poset, mapping, component, witness):
     e(component) and that the two branches orient one pair both ways.  Then
     every t-value is independently recounted on the sum, by forward passes
     over the sum's lattice of ideals restricted to each outcome, and
-    checked to be exactly k times the component value, k = e(sum) / t0.
-    Each comparison takes one count, its other outcome being the
-    complement: e(sum) - t1 for the second branch, t1 less one
-    orientation's count for a second pair.
+    checked to be exactly k times the component value, k = e(sum) / t0;
+    a chain outcome's vacuous t2 lifts to t1 once k > 1.  Each comparison
+    takes one count, its other outcome being the complement: e(sum) - t1
+    for the second branch, t1 less one orientation's count for a second
+    pair.  A lifted witness that breaks the inequality raises
+    InvalidWitnessError.
     """
     if not verify_gpc_witness(component, witness):
         raise InvalidWitnessError("witness fails re-verification on the component")
@@ -244,7 +246,10 @@ def lift_witness(sum_poset, mapping, component, witness):
         if t1 != k * branch.t1:
             raise PosetError("lifted t1 is not k * t1")
         if branch.second is None:
-            second, t2 = None, k * branch.t2
+            # A chain outcome of the component (t1 = 1) lifts to k extensions:
+            # while k > 1 some comparison is left, leaving at most t1 of them,
+            # so its vacuous t2, 0 under the strict reading, does not scale.
+            second, t2 = None, t1 if branch.t1 == 1 < t1 else k * branch.t2
         else:
             second = (mapping[branch.second[0]], mapping[branch.second[1]])
             t2 = worst_count(sum_poset, given, t1, *second)
@@ -253,7 +258,7 @@ def lift_witness(sum_poset, mapping, component, witness):
         branches.append(GpcBranch((a, b), t1, second, t2))
     lifted = GpcWitness(first, e_sum, tuple(branches), witness.strict)
     if not lifted.holds():
-        raise PosetError("lifted witness violates the partition inequality")
+        raise InvalidWitnessError("lifted witness violates the partition inequality")
     return lifted
 
 
@@ -311,41 +316,30 @@ class GapProfile:
 def gap_profile(poset, point, cap=linext.DEFAULT_ENUM_CAP):
     """Classify L(P) by the free gap of ``point`` between its neighbors.
 
-    For an extension f, take c = max label of a strict predecessor of the
-    point (0 when none) and b = min label of a strict successor (n+1 when
-    none); k counts the incomparable elements labeled strictly between c
-    and b.  Extensions sharing the reduced order form one class of k + 1.
+    An extension's class is its reduced order, the other elements by
+    label: one pass over P's lattice groups L(P) by it, keyed by every
+    element placed but the point.  In a reduced order, c is the position
+    of the point's last strict predecessor (0 when none) and b that of its
+    first strict successor (n when none); the k = b - c - 1 elements
+    between are incomparable to it, and the class holds one extension per
+    slot, k + 1.  The classes must cover e(P), counted on its own.
     """
-    n = poset.n
+    total = linext._check_cap(poset, cap)
     below = tuple(_bits(poset.below_mask(point)))
     above = tuple(_bits(poset.above_mask(point)))
-    incomp = tuple(_bits(poset.incomparable_mask(point)))
+    sizes = {}
+    for reduced, _, tails in linext._descend(
+        poset, lambda ideal, x: () if x == point else (x,)
+    ):
+        sizes[reduced] = sizes.get(reduced, 0) + len(tails)
     classes = {}
-    total = 0
-    for f in linext.enumerate_extensions(poset, cap):
-        labels = f.labels
-        c = max([labels[s] for s in below], default=0)
-        b = min([labels[r] for r in above], default=n + 1)
-        k = len([t for t in incomp if c < labels[t] < b])
-        order = [0] * n
-        for e, rank in enumerate(labels):
-            order[rank - 1] = e
-        del order[labels[point] - 1]
-        reduced = tuple(order)
-        total += 1
-        seen = classes.get(reduced)
-        if seen is None:
-            classes[reduced] = (k, 1)
-        elif seen[0] != k:
-            raise PosetError("class members disagree on the gap size")
-        else:
-            classes[reduced] = (k, seen[1] + 1)
-    for reduced, (k, size) in classes.items():
+    for reduced, size in sizes.items():
+        c = max([reduced.index(s) + 1 for s in below], default=0)
+        b = min([reduced.index(r) + 1 for r in above], default=poset.n)
+        k = classes[reduced] = b - c - 1
         if size != k + 1:
-            raise PosetError(
-                f"class of size {size} does not match gap {k} + 1"
-            )
-    profile = GapProfile(poset, point, {r: k for r, (k, _) in classes.items()})
+            raise PosetError(f"class of size {size} does not match gap {k} + 1")
+    profile = GapProfile(poset, point, classes)
     if profile.total() != total:
         raise PosetError("gap classes do not partition L(P)")
     return profile

@@ -168,3 +168,28 @@ def test_example19_decomposition():
     w = gpc_via_decomposition(p)
     assert w is not None and w.holds()
     assert verify_gpc_witness(p, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(posets(8), _relabeled_sums()), st.booleans())
+def test_gpc_via_decomposition_verifies_and_agrees_with_direct(poset, strict):
+    """Every witness verifies, strict or not, and there is one exactly when
+    the direct search finds one."""
+    if poset.is_chain():
+        return
+    w = gpc_via_decomposition(poset, strict=strict)
+    assert (w is None) == (check_gpc(poset, strict=strict) is None)
+    assert w is None or verify_gpc_witness(poset, w)
+
+
+def test_gpc_via_decomposition_strict_antichain():
+    # the factor {0, 1} has t0 = 2 and vacuous branches; lifted by k = 3
+    # they tie t0 = t1 + t2 = 6, so the direct search answers
+    p = Poset.antichain(3)
+    w = gpc_via_decomposition(p, strict=True)
+    assert w == check_gpc(p, strict=True)
+    assert w.t0 == 6 and [(b.t1, b.second, b.t2) for b in w.branches] == [
+        (3, (0, 2), 2),
+        (3, (0, 2), 2),
+    ]
+    assert verify_gpc_witness(p, w)
