@@ -78,7 +78,7 @@ def worst_count(poset, given, total, c, d):
     e(P + given), and both outcomes are counted on P's lattice.  Every
     extension puts c before d or d before c, so one count gives both.
     """
-    before = linext._count(poset, (*given, (c, d)))
+    (before,) = linext._counts(poset, [(*given, (c, d))])
     return max(before, total - before)
 
 
@@ -196,15 +196,16 @@ def check_gpc(poset, mode="adaptive", strict=False):
 def verify_gpc_witness(poset, witness):
     """Recount every t-value of a witness from scratch and recheck it.
 
-    The two branches must orient the first pair one each way.  The
-    recounts are forward passes over P's lattice of ideals, restricted to
-    each outcome, not the pair-count matrices the search reads, so they
-    check it independently.  Each comparison costs one count, its other
-    outcome being the rest: the second branch's t1 is t0 less the
-    first's, and a second pair's other outcome is the rest of t1.  A
-    recorded second pair must be two points incomparable in the outcome,
-    read off P's rows; the outcome's other pairs are listed only for a
-    branch with no second pair and t1 > 1.
+    The two branches must orient the first pair one each way.  A recorded
+    second pair must be two points incomparable in the outcome, read off
+    P's rows.  The recounts are not the pair-count matrices the search
+    reads, so they check it independently: every count is taken in one
+    packed pass over P's lattice of ideals (``linext._counts``), e(P), the
+    first branch's t1 and one orientation of each recorded second pair.
+    Each comparison's other outcome is the rest: the second branch's t1 is
+    t0 less the first's, and a second pair's other orientation the rest of
+    t1.  The outcome's other pairs are counted only for a branch with no
+    second pair and t1 > 1.
 
     A branch with no second pair is accepted when the outcome is a chain
     (t1 = 1, the vacuous count), or when some actual second comparison
@@ -216,26 +217,9 @@ def verify_gpc_witness(poset, witness):
         return False
     if poset.is_lt(a, b) or poset.is_lt(b, a):
         return False
-    if linext._count(poset) != witness.t0:
-        return False
-    t1 = None
+    givens = [(), (witness.branches[0].result,)]
     for branch in witness.branches:
-        given = (branch.result,)
-        t1 = linext._count(poset, given) if t1 is None else witness.t0 - t1
-        if t1 != branch.t1:
-            return False
-        if branch.second is None:
-            if t1 == 1:
-                if branch.t2 != (0 if witness.strict else 1):
-                    return False
-            elif not any(
-                worst_count(poset, given, t1, c, d) <= branch.t2
-                for c, d in poset.incomparable_pairs()
-                if _stays_incomparable(poset, *branch.result, c, d)
-            ):
-                return False
-            t2 = branch.t2
-        else:
+        if branch.second is not None:
             c, d = branch.second
             if not (
                 0 <= c < poset.n
@@ -244,7 +228,30 @@ def verify_gpc_witness(poset, witness):
                 and _stays_incomparable(poset, *branch.result, c, d)
             ):
                 return False
-            t2 = worst_count(poset, given, t1, c, d)
+            givens.append((branch.result, branch.second))
+    total, t1, *befores = linext._counts(poset, givens)
+    if total != witness.t0:
+        return False
+    befores = iter(befores)
+    for i, branch in enumerate(witness.branches):
+        if i:
+            t1 = witness.t0 - t1
+        if t1 != branch.t1:
+            return False
+        if branch.second is None:
+            if t1 == 1:
+                if branch.t2 != (0 if witness.strict else 1):
+                    return False
+            elif not any(
+                worst_count(poset, (branch.result,), t1, c, d) <= branch.t2
+                for c, d in poset.incomparable_pairs()
+                if _stays_incomparable(poset, *branch.result, c, d)
+            ):
+                return False
+            t2 = branch.t2
+        else:
+            before = next(befores)
+            t2 = max(before, t1 - before)
             if t2 != branch.t2:
                 return False
         if not _partition_ok(witness.t0, branch.t1, t2, witness.strict):

@@ -19,8 +19,10 @@ def poset_classes(max_n):
     children are deduplicated by canonical key (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26, 1998; Brinkmann & McKay,
     "Posets on up to 16 points", Order 19, 2002).  A class of size n has
-    n!/|Aut| labelings.  The last level is dropped class by class as it is
-    handed over, so what callers cache on its posets does not pile up.
+    n!/|Aut| labelings.  What callers cache on the posets does not pile
+    up: the pair-count matrices kept on a level are dropped before its
+    children are built, and the last level is dropped class by class as it
+    is handed over.
     """
     level = [(Poset.antichain(1), 1)]
     for n in range(1, max_n):
@@ -29,6 +31,9 @@ def poset_classes(max_n):
         seen = set()
         children = []
         for small, _ in level:
+            # The class has been handed over: drop the pair-count matrices
+            # kept on it, which nothing here reads.
+            small._pair_counts = None
             for down in _lattice(small)[0]:
                 rows = [
                     row | top if down >> a & 1 else row

@@ -25,7 +25,7 @@ from .errors import (
     PosetError,
     RemarkViolationError,
 )
-from .conjectures import GpcBranch, GpcWitness, verify_gpc_witness, worst_count
+from .conjectures import GpcBranch, GpcWitness, verify_gpc_witness
 from .poset import Poset, _bits
 
 
@@ -222,27 +222,36 @@ def lift_witness(sum_poset, mapping, component, witness):
     ``mapping[q]`` names the sum element carrying local element q.  The
     witness is first re-verified on the component, which checks that t0 is
     e(component) and that the two branches orient one pair both ways.  Then
-    every t-value is independently recounted on the sum, by forward passes
-    over the sum's lattice of ideals restricted to each outcome, and
+    every t-value is independently recounted on the sum, every count in one
+    packed pass over the sum's lattice of ideals (``linext._counts``), and
     checked to be exactly k times the component value, k = e(sum) / t0;
     a chain outcome's vacuous t2 lifts to t1 once k > 1.  Each comparison
-    takes one count, its other outcome being the complement: e(sum) - t1
-    for the second branch, t1 less one orientation's count for a second
-    pair.  A lifted witness that breaks the inequality raises
+    is counted in one orientation, its other outcome being the complement:
+    e(sum) - t1 for the second branch, t1 less one orientation's count for
+    a second pair.  A lifted witness that breaks the inequality raises
     InvalidWitnessError.
     """
     if not verify_gpc_witness(component, witness):
         raise InvalidWitnessError("witness fails re-verification on the component")
-    e_sum = linext._count(sum_poset)
+
+    def lift(pair):
+        return mapping[pair[0]], mapping[pair[1]]
+
+    results = [lift(branch.result) for branch in witness.branches]
+    givens = [(), (results[0],)] + [
+        (result, lift(branch.second))
+        for result, branch in zip(results, witness.branches)
+        if branch.second is not None
+    ]
+    e_sum, t1, *befores = linext._counts(sum_poset, givens)
     if e_sum % witness.t0:
         raise PosetError("e(component) does not divide e(sum)")
     k = e_sum // witness.t0
-    first = (mapping[witness.first[0]], mapping[witness.first[1]])
+    befores = iter(befores)
     branches = []
-    for branch in witness.branches:
-        a, b = (mapping[branch.result[0]], mapping[branch.result[1]])
-        given = ((a, b),)
-        t1 = e_sum - branches[0].t1 if branches else linext._count(sum_poset, given)
+    for result, branch in zip(results, witness.branches):
+        if branches:
+            t1 = e_sum - t1
         if t1 != k * branch.t1:
             raise PosetError("lifted t1 is not k * t1")
         if branch.second is None:
@@ -251,12 +260,13 @@ def lift_witness(sum_poset, mapping, component, witness):
             # so its vacuous t2, 0 under the strict reading, does not scale.
             second, t2 = None, t1 if branch.t1 == 1 < t1 else k * branch.t2
         else:
-            second = (mapping[branch.second[0]], mapping[branch.second[1]])
-            t2 = worst_count(sum_poset, given, t1, *second)
+            second = lift(branch.second)
+            before = next(befores)
+            t2 = max(before, t1 - before)
             if t2 != k * branch.t2:
                 raise PosetError("lifted t2 is not k * t2")
-        branches.append(GpcBranch((a, b), t1, second, t2))
-    lifted = GpcWitness(first, e_sum, tuple(branches), witness.strict)
+        branches.append(GpcBranch(result, t1, second, t2))
+    lifted = GpcWitness(lift(witness.first), e_sum, tuple(branches), witness.strict)
     if not lifted.holds():
         raise InvalidWitnessError("lifted witness violates the partition inequality")
     return lifted

@@ -11,7 +11,10 @@ each ideal's completions are its successors' completions with the element
 added, packed one label per byte of an int.  Counts of outcomes need no
 outcome poset: the ideals of P + a<b are the ideals of P that hold a
 whenever they hold b, so any outcome of comparisons is P's lattice with the
-steps it forbids dropped.  Pair probabilities come from a single pass: a
+steps it forbids dropped.  One forward pass counts several outcomes at
+once (``_counts``): each ideal holds one integer with a field per outcome,
+and a step masks out the fields of the outcomes that forbid it; this is how
+witnesses are recounted.  Pair probabilities come from a single pass: a
 forward pass counts down(I) = e(P|I), a backward pass up(I) = e(P|rest),
 and #(y before x) is the sum of down(I)*up(I+x) over the ideals I that x
 extends and y lies in; the sums for every y are carried in one integer per
@@ -22,6 +25,7 @@ are `fractions.Fraction`; floats never enter a comparison.
 
 from __future__ import annotations
 
+import math
 import operator
 from array import array
 from dataclasses import dataclass
@@ -245,9 +249,47 @@ def _down(poset, given):
     return down
 
 
-def _count(poset, given=()):
-    """e(P + given), counted on P's lattice; see ``_down``."""
-    return _down(poset, given)[-1]
+def _counts(poset, givens):
+    """[e(P + given) for given in givens], from one forward pass over P's lattice.
+
+    Each ideal holds one packed int, e(P + given | ideal) in the field of
+    each given.  As in ``_down``, a given drops the step adding x unless
+    the ideal holds every a it puts below x: the step's gate masks out the
+    fields of the givens whose need the ideal misses.  The gates are built
+    per x once per call, and most steps have none.  A field is as wide as
+    n!, which bounds every count, so no field carries into the next.
+    """
+    ideals, steps, offsets = _lattice(poset)
+    width = math.factorial(poset.n).bit_length()
+    ones = (1 << width) - 1
+    every = (1 << width * len(givens)) - 1
+    fields = {}  # x -> {need: the fields of the givens with that need at x}
+    for f, given in enumerate(givens):
+        needs = {}
+        for a, b in given:
+            needs[b] = needs.get(b, 0) | 1 << a
+        for x, need in needs.items():
+            gate = fields.setdefault(x, {})
+            gate[need] = gate.get(need, 0) | ones << width * f
+    gates = [()] * poset.n
+    for x, gate in fields.items():
+        gates[x] = [(need, every ^ masked) for need, masked in gate.items()]
+    down = [0] * len(ideals)
+    down[0] = every // ones  # a 1 in every field
+    for i, ideal in enumerate(ideals):
+        ways = down[i]
+        if ways:
+            for step in steps[offsets[i] : offsets[i + 1]]:
+                gate = gates[step & 31]
+                if gate:
+                    kept = ways
+                    for need, keep in gate:
+                        if ideal & need != need:
+                            kept &= keep
+                    down[step >> 5] += kept
+                else:
+                    down[step >> 5] += ways
+    return [down[-1] >> width * f & ones for f in range(len(givens))]
 
 
 def _matrix(poset, given=()):
@@ -329,7 +371,8 @@ def prob(poset, x, y):
         return Fraction(1)
     if poset.is_lt(y, x):
         return Fraction(0)
-    return Fraction(_count(poset, ((x, y),)), _count(poset))
+    total, before = _counts(poset, [(), ((x, y),)])
+    return Fraction(before, total)
 
 
 def delta(poset):

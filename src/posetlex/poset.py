@@ -202,12 +202,15 @@ class Poset:
     def induced(self, elements):
         """Subposet on the given elements, relabeled in the order given."""
         elements = list(elements)
+        places = {}  # element -> bitmask of its positions in ``elements``
+        for j, a in enumerate(elements):
+            places[a] = places.get(a, 0) | 1 << j
+        inside = sum(1 << a for a in places)
         rows = []
         for a in elements:
             row = 0
-            for j, b in enumerate(elements):
-                if a != b and self.lt[a] >> b & 1:
-                    row |= 1 << j
+            for b in _bits(self.lt[a] & inside):
+                row |= places[b]
             rows.append(row)
         return Poset(len(elements), rows, _trusted=True)
 

@@ -1,10 +1,12 @@
 """Gold partition witnesses, sorting cost, and the golden-ratio bound."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from posetlex import (
     Poset,
@@ -21,7 +23,14 @@ from posetlex.conjectures import GpcBranch, GpcWitness, information_lower_bound,
 from posetlex.errors import ChainError, SizeCapError
 from posetlex.generate import poset_classes, random_nonchain_poset, random_poset
 
-from conftest import POSETS_DIR, brute_gpc, brute_sort_cost, labeled_posets, posets
+from conftest import (
+    POSETS_DIR,
+    brute_extensions,
+    brute_gpc,
+    brute_sort_cost,
+    labeled_posets,
+    posets,
+)
 
 
 def test_chain_is_rejected():
@@ -318,3 +327,101 @@ def test_verify_rejects_second_pair_comparable_in_outcome():
         witness = GpcWitness(w.first, w.t0, (w.branches[0], forged), w.strict)
         assert witness.holds()
         assert not verify_gpc_witness(p, witness)
+
+
+def test_verify_is_one_pass(monkeypatch):
+    """Both branches record a second pair: every count comes from one pass."""
+    poset = files.load(POSETS_DIR / "p163425.poset")
+    witness = check_gpc(poset)
+    assert all(branch.second is not None for branch in witness.branches)
+    passes, matrices = [], []
+    counts, matrix = linext._counts, linext._matrix
+
+    def counted(p, givens):
+        passes.append(p)
+        return counts(p, givens)
+
+    def matrixed(p, given=()):
+        matrices.append(p)
+        return matrix(p, given)
+
+    monkeypatch.setattr(linext, "_counts", counted)
+    monkeypatch.setattr(linext, "_matrix", matrixed)
+    assert verify_gpc_witness(poset, witness)
+    assert passes == [poset] and matrices == []
+
+
+def _brute_verdict(poset, witness):
+    """``verify_gpc_witness``'s verdict, from the filtered extensions of P.
+
+    Two points are incomparable in an outcome exactly when its extensions
+    place them both ways.
+    """
+    ranks = [{e: i for i, e in enumerate(order)} for order in brute_extensions(poset)]
+    a, b = witness.first
+    if sorted(branch.result for branch in witness.branches) != sorted([(a, b), (b, a)]):
+        return False
+    if a == b or poset.is_lt(a, b) or poset.is_lt(b, a) or len(ranks) != witness.t0:
+        return False
+    vacuous = 0 if witness.strict else 1
+    for branch in witness.branches:
+        x, y = branch.result
+        outcome = [rank for rank in ranks if rank[x] < rank[y]]
+        t1 = len(outcome)
+
+        def worst(c, d):
+            """t2 of comparing c with d in the outcome, None if they are ordered."""
+            before = sum(rank[c] < rank[d] for rank in outcome)
+            return max(before, t1 - before) if 0 < before < t1 else None
+
+        if t1 != branch.t1:
+            return False
+        if branch.second is None:
+            t2 = branch.t2
+            if t1 == 1:
+                ok = t2 == vacuous
+            else:
+                worsts = [worst(c, d) for c in range(poset.n) for d in range(c + 1, poset.n)]
+                ok = any(w is not None and w <= t2 for w in worsts)
+        else:
+            c, d = branch.second
+            in_range = 0 <= c < poset.n and 0 <= d < poset.n and c != d
+            t2 = worst(c, d) if in_range else None
+            ok = t2 is not None and t2 == branch.t2
+        if not ok or not conjectures._partition_ok(witness.t0, t1, t2, witness.strict):
+            return False
+    return True
+
+
+@st.composite
+def _tampered(draw):
+    """A witness of a drawn non-chain poset with one field changed."""
+    poset = draw(posets(7).filter(lambda p: not p.is_chain()))
+    mode = draw(st.sampled_from(["adaptive", "nonadaptive"]))
+    witness = check_gpc(poset, mode=mode, strict=draw(st.booleans()))
+    assume(witness is not None)
+    points = st.integers(0, poset.n - 1)
+    pair = st.tuples(points, points)
+    count = st.integers(0, witness.t0 + 2)
+    field = draw(st.sampled_from(["t0", "t1", "t2", "first", "second"]))
+    if field == "t0":
+        return poset, dataclasses.replace(witness, t0=draw(count))
+    if field == "first":
+        return poset, dataclasses.replace(witness, first=draw(pair))
+    i = draw(st.integers(0, 1))
+    branch = witness.branches[i]
+    if field == "second":
+        branch = dataclasses.replace(branch, second=draw(st.one_of(st.none(), pair)))
+    else:
+        branch = dataclasses.replace(branch, **{field: draw(count)})
+    branches = list(witness.branches)
+    branches[i] = branch
+    return poset, dataclasses.replace(witness, branches=tuple(branches))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_tampered())
+def test_verify_matches_brute_verdict_on_tampered_witnesses(case):
+    poset, witness = case
+    assert verify_gpc_witness(poset, witness) == _brute_verdict(poset, witness)
+

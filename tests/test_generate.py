@@ -42,6 +42,17 @@ def test_class_counts():
     assert tuple(sizes[n] for n in range(1, len(CLASSES) + 1)) == CLASSES
 
 
+def test_generation_drops_kept_matrices_of_handed_over_levels():
+    """The matrices a caller keeps on a level are dropped before the next."""
+    classes = []
+    for poset, _ in poset_classes(5):
+        linext.pair_counts(poset)
+        classes.append(poset)
+    assert len(classes) == sum(CLASSES[:5])
+    assert all(p._pair_counts is None for p in classes if p.n < 5)
+    assert all(p._pair_counts is not None for p in classes if p.n == 5)
+
+
 def test_sweep_seven_points():
     summary = sweep(7)
     assert (summary.total, summary.chains) == (6264355, 5913)

@@ -327,34 +327,34 @@ def test_lift_witness_exact_multiples(n_poset):
 
 
 def test_lift_witness_counts_once_per_comparison(monkeypatch, n_poset):
-    """Each comparison is counted in one orientation, the other is the rest."""
+    """One pass on Q and one on the sum; each comparison in one orientation."""
     q = Poset.antichain(3)
     w = check_gpc(q)
     assert all(branch.second is not None for branch in w.branches)
     spec = compose_at(n_poset, 0, q)
     calls = []
     builds = []
-    count = lexsum.linext._count
+    counts = lexsum.linext._counts
     lattice = lexsum.linext._lattice
 
-    def counted(poset, given=()):
-        calls.append((poset, given))
-        return count(poset, given)
+    def counted(poset, givens):
+        calls.append((poset, list(givens)))
+        return counts(poset, givens)
 
     def built(poset):
         if poset._lattice is None:
             builds.append(poset)
         return lattice(poset)
 
-    monkeypatch.setattr(lexsum.linext, "_count", counted)
+    monkeypatch.setattr(lexsum.linext, "_counts", counted)
     monkeypatch.setattr(lexsum.linext, "_lattice", built)
     lifted = lift_witness(spec.poset, spec.embed[0], q, w)
-    # re-verification on Q and the lift to the sum count alike: e, the first
-    # branch's t1, and one orientation of each second pair
-    assert len(calls) == 4 + 4
-    assert sum(p is q for p, _ in calls) == 4
-    assert sum(p is spec.poset for p, _ in calls) == 4
-    assert calls.count((q, ())) == 1 and calls.count((spec.poset, ())) == 1
+    # re-verification on Q and the lift to the sum count alike, in one pass
+    # each: e, the first branch's t1, and one orientation of each second pair
+    assert [p for p, _ in calls] == [q, spec.poset]
+    for (_, givens), witness in zip(calls, (w, lifted)):
+        (r1, s1), (r2, s2) = [(b.result, b.second) for b in witness.branches]
+        assert givens == [(), (r1,), (r1, s1), (r2, s2)]
     # every count runs on the lattice of Q or of the sum; Q's came with w
     assert builds == [spec.poset]
     assert lifted.t0 == count_extensions(spec.poset)

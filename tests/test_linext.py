@@ -300,7 +300,7 @@ def test_lattice_memo_leaves_equality_and_hash(monkeypatch, n_poset):
     assert outcome._lattice is None and outcome._pair_counts is None
     # a second call, and every count on P and its outcomes, builds nothing more
     assert linext._lattice(n_poset) is lattice
-    assert linext._count(n_poset, ((0, 1),)) == pair_counts(n_poset).counts[0][1] == 2
+    assert linext._counts(n_poset, [((0, 1),)]) == [pair_counts(n_poset).counts[0][1]] == [2]
     assert builds == [n_poset]
     ideals, steps, offsets = lattice
     assert len(ideals) == len(offsets) - 1 and offsets[-1] == len(steps)
@@ -326,7 +326,7 @@ def _draw_outcomes(data, poset):
 
 def _check_outcomes(data, poset):
     for given, outcome in _draw_outcomes(data, poset):
-        assert linext._count(poset, given) == brute_count(outcome)
+        assert linext._counts(poset, [given]) == [brute_count(outcome)]
         matrix = linext._matrix(poset, given)
         assert matrix.total == brute_count(outcome)
         assert [list(row) for row in matrix.counts] == brute_pair_counts(outcome)
@@ -349,3 +349,50 @@ def test_count_extensions_runs_its_own_pass(monkeypatch, n_poset):
     passes = _count_passes(monkeypatch)
     assert count_extensions(n_poset) == 5
     assert passes == [n_poset]
+
+
+@st.composite
+def _givens(draw, poset):
+    """1 to 5 givens on ``poset``: lists of comparisons, any of them empty,
+    redundant (a relation of P) or closing a cycle with P or each other."""
+    n = poset.n
+    points = st.integers(0, n - 1)
+    pairs = [st.tuples(points, points)]
+    relations = poset.relation_pairs()
+    if relations:
+        pairs.append(st.sampled_from(relations))
+        pairs.append(st.sampled_from([(b, a) for a, b in relations]))
+    given = st.lists(st.one_of(pairs), max_size=4).map(tuple)
+    return draw(st.lists(given, min_size=1, max_size=5))
+
+
+def _brute_counts(poset, givens):
+    ranks = [{e: i for i, e in enumerate(order)} for order in brute_extensions(poset)]
+    return [
+        sum(all(rank[a] < rank[b] for a, b in given) for rank in ranks) for given in givens
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(posets(7), twin_heavy_posets(7)).flatmap(
+    lambda poset: st.tuples(st.just(poset), _givens(poset))
+))
+@example((Poset.antichain(3), [(), ((0, 1), (1, 0)), ((2, 2),), ((0, 1), (1, 2), (0, 2))]))
+def test_packed_counts_match_brute_force(case):
+    poset, givens = case
+    assert linext._counts(poset, givens) == _brute_counts(poset, givens)
+
+
+def test_prob_is_one_pass(monkeypatch):
+    poset = Poset.from_relations(5, [(0, 2), (1, 2), (1, 3)])
+    calls = []
+    counts = linext._counts
+
+    def counted(p, givens):
+        calls.append(list(givens))
+        return counts(p, givens)
+
+    monkeypatch.setattr(linext, "_counts", counted)
+    assert prob(poset, 0, 1) == Fraction(brute_pair_counts(poset)[0][1], brute_count(poset))
+    assert calls == [[(), ((0, 1),)]]
+
