@@ -46,9 +46,7 @@ class GpcWitness:
     strict: bool = False
 
     def holds(self):
-        if self.strict:
-            return all(self.t0 > b.t1 + b.t2 for b in self.branches)
-        return all(self.t0 >= b.t1 + b.t2 for b in self.branches)
+        return all(_partition_ok(self.t0, b.t1, b.t2, self.strict) for b in self.branches)
 
     def to_json_dict(self):
         return {
@@ -71,15 +69,9 @@ def _partition_ok(t0, t1, t2, strict):
     return t0 > t1 + t2 if strict else t0 >= t1 + t2
 
 
-def worst_count(poset, given, total, c, d):
-    """The larger outcome of comparing c with d in P + given: the t2 it leaves.
-
-    ``given`` lists the comparisons already made, ``total`` is
-    e(P + given), and both outcomes are counted on P's lattice.  Every
-    extension puts c before d or d before c, so one count gives both.
-    """
-    (before,) = linext._counts(poset, [(*given, (c, d))])
-    return max(before, total - before)
+def _incomparable(poset, c, d):
+    """Whether c and d are two points of P, incomparable in it."""
+    return 0 <= c < poset.n and 0 <= d < poset.n and poset.incomparable_mask(c) >> d & 1
 
 
 def _stays_incomparable(poset, x, y, c, d):
@@ -193,19 +185,44 @@ def check_gpc(poset, mode="adaptive", strict=False):
     return None
 
 
+def _recount(poset, results, seconds):
+    """e(P) and each branch's (t1, t2), from one packed pass over P's lattice.
+
+    ``results`` orients the first pair once each way, and ``seconds[i]``
+    is branch i's second pair, None when it has none.  The pass
+    (``linext._counts``) counts e(P), the first branch's t1 and one
+    orientation of each second pair.  Each comparison's other outcome is
+    the rest: the second branch's t1 is e(P) less the first's, and a second
+    pair's other orientation is t1 less the one counted.  A branch with no
+    second pair gets t2 = None.
+    """
+    givens = [(), (results[0],)]
+    givens += [(r, s) for r, s in zip(results, seconds) if s is not None]
+    total, t1, *befores = linext._counts(poset, givens)
+    befores = iter(befores)
+    counts = []
+    for second in seconds:
+        if counts:
+            t1 = total - t1
+        if second is None:
+            counts.append((t1, None))
+        else:
+            before = next(befores)
+            counts.append((t1, max(before, t1 - before)))
+    return total, counts
+
+
 def verify_gpc_witness(poset, witness):
     """Recount every t-value of a witness from scratch and recheck it.
 
-    The two branches must orient the first pair one each way.  A recorded
-    second pair must be two points incomparable in the outcome, read off
-    P's rows.  The recounts are not the pair-count matrices the search
-    reads, so they check it independently: every count is taken in one
-    packed pass over P's lattice of ideals (``linext._counts``), e(P), the
-    first branch's t1 and one orientation of each recorded second pair.
-    Each comparison's other outcome is the rest: the second branch's t1 is
-    t0 less the first's, and a second pair's other orientation the rest of
-    t1.  The outcome's other pairs are counted only for a branch with no
-    second pair and t1 > 1.
+    The first pair must be two incomparable points of P, and the two
+    branches must orient it one each way.  A recorded second pair must be
+    two points incomparable in the outcome, read off P's rows.  The
+    recounts are not the pair-count matrices the search reads, so they
+    check it independently: e(P) and every branch's (t1, t2) come from one
+    packed pass over P's lattice of ideals (``_recount``).  The outcome's
+    other pairs are counted only for a branch with no second pair and
+    t1 > 1.
 
     A branch with no second pair is accepted when the outcome is a chain
     (t1 = 1, the vacuous count), or when some actual second comparison
@@ -213,48 +230,35 @@ def verify_gpc_witness(poset, witness):
     branches whose component part is already sorted.
     """
     a, b = witness.first
-    if sorted(branch.result for branch in witness.branches) != sorted([(a, b), (b, a)]):
+    results = [branch.result for branch in witness.branches]
+    seconds = [branch.second for branch in witness.branches]
+    if sorted(results) != sorted([(a, b), (b, a)]) or not _incomparable(poset, a, b):
         return False
-    if poset.is_lt(a, b) or poset.is_lt(b, a):
-        return False
-    givens = [(), (witness.branches[0].result,)]
-    for branch in witness.branches:
-        if branch.second is not None:
-            c, d = branch.second
-            if not (
-                0 <= c < poset.n
-                and 0 <= d < poset.n
-                and poset.incomparable_mask(c) >> d & 1
-                and _stays_incomparable(poset, *branch.result, c, d)
-            ):
-                return False
-            givens.append((branch.result, branch.second))
-    total, t1, *befores = linext._counts(poset, givens)
+    for result, second in zip(results, seconds):
+        if second is not None and not (
+            _incomparable(poset, *second) and _stays_incomparable(poset, *result, *second)
+        ):
+            return False
+    total, counts = _recount(poset, results, seconds)
     if total != witness.t0:
         return False
-    befores = iter(befores)
-    for i, branch in enumerate(witness.branches):
-        if i:
-            t1 = witness.t0 - t1
+    for branch, (t1, t2) in zip(witness.branches, counts):
         if t1 != branch.t1:
             return False
-        if branch.second is None:
-            if t1 == 1:
-                if branch.t2 != (0 if witness.strict else 1):
-                    return False
-            elif not any(
-                worst_count(poset, (branch.result,), t1, c, d) <= branch.t2
+        if t2 is not None:
+            ok = t2 == branch.t2
+        elif t1 == 1:
+            ok = branch.t2 == _least_t2(1, witness.strict)
+        else:
+            # max(before, t1 - before) <= t2 for one of the outcome's pairs
+            ok = any(
+                t1 - branch.t2
+                <= linext._counts(poset, [(branch.result, (c, d))])[0]
+                <= branch.t2
                 for c, d in poset.incomparable_pairs()
                 if _stays_incomparable(poset, *branch.result, c, d)
-            ):
-                return False
-            t2 = branch.t2
-        else:
-            before = next(befores)
-            t2 = max(before, t1 - before)
-            if t2 != branch.t2:
-                return False
-        if not _partition_ok(witness.t0, branch.t1, t2, witness.strict):
+            )
+        if not (ok and _partition_ok(witness.t0, t1, branch.t2, witness.strict)):
             return False
     return True
 

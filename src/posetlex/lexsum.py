@@ -25,7 +25,7 @@ from .errors import (
     PosetError,
     RemarkViolationError,
 )
-from .conjectures import GpcBranch, GpcWitness, verify_gpc_witness
+from .conjectures import GpcBranch, GpcWitness, _recount, verify_gpc_witness
 from .poset import Poset, _bits
 
 
@@ -222,14 +222,12 @@ def lift_witness(sum_poset, mapping, component, witness):
     ``mapping[q]`` names the sum element carrying local element q.  The
     witness is first re-verified on the component, which checks that t0 is
     e(component) and that the two branches orient one pair both ways.  Then
-    every t-value is independently recounted on the sum, every count in one
-    packed pass over the sum's lattice of ideals (``linext._counts``), and
-    checked to be exactly k times the component value, k = e(sum) / t0;
-    a chain outcome's vacuous t2 lifts to t1 once k > 1.  Each comparison
-    is counted in one orientation, its other outcome being the complement:
-    e(sum) - t1 for the second branch, t1 less one orientation's count for
-    a second pair.  A lifted witness that breaks the inequality raises
-    InvalidWitnessError.
+    every t-value is independently recounted on the sum by the recount
+    ``verify_gpc_witness`` uses, one packed pass over the sum's lattice of
+    ideals (``conjectures._recount``), and checked to be exactly k times
+    the component value, k = e(sum) / t0; a chain outcome's vacuous t2
+    lifts to t1 once k > 1.  A lifted witness that breaks the inequality
+    raises InvalidWitnessError.
     """
     if not verify_gpc_witness(component, witness):
         raise InvalidWitnessError("witness fails re-verification on the component")
@@ -238,33 +236,22 @@ def lift_witness(sum_poset, mapping, component, witness):
         return mapping[pair[0]], mapping[pair[1]]
 
     results = [lift(branch.result) for branch in witness.branches]
-    givens = [(), (results[0],)] + [
-        (result, lift(branch.second))
-        for result, branch in zip(results, witness.branches)
-        if branch.second is not None
-    ]
-    e_sum, t1, *befores = linext._counts(sum_poset, givens)
+    seconds = [branch.second and lift(branch.second) for branch in witness.branches]
+    e_sum, counts = _recount(sum_poset, results, seconds)
     if e_sum % witness.t0:
         raise PosetError("e(component) does not divide e(sum)")
     k = e_sum // witness.t0
-    befores = iter(befores)
     branches = []
-    for result, branch in zip(results, witness.branches):
-        if branches:
-            t1 = e_sum - t1
+    for result, second, branch, (t1, t2) in zip(results, seconds, witness.branches, counts):
         if t1 != k * branch.t1:
             raise PosetError("lifted t1 is not k * t1")
-        if branch.second is None:
+        if second is None:
             # A chain outcome of the component (t1 = 1) lifts to k extensions:
             # while k > 1 some comparison is left, leaving at most t1 of them,
             # so its vacuous t2, 0 under the strict reading, does not scale.
-            second, t2 = None, t1 if branch.t1 == 1 < t1 else k * branch.t2
-        else:
-            second = lift(branch.second)
-            before = next(befores)
-            t2 = max(before, t1 - before)
-            if t2 != k * branch.t2:
-                raise PosetError("lifted t2 is not k * t2")
+            t2 = t1 if branch.t1 == 1 < t1 else k * branch.t2
+        elif t2 != k * branch.t2:
+            raise PosetError("lifted t2 is not k * t2")
         branches.append(GpcBranch(result, t1, second, t2))
     lifted = GpcWitness(lift(witness.first), e_sum, tuple(branches), witness.strict)
     if not lifted.holds():

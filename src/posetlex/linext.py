@@ -11,10 +11,12 @@ each ideal's completions are its successors' completions with the element
 added, packed one label per byte of an int.  Counts of outcomes need no
 outcome poset: the ideals of P + a<b are the ideals of P that hold a
 whenever they hold b, so any outcome of comparisons is P's lattice with the
-steps it forbids dropped.  One forward pass counts several outcomes at
-once (``_counts``): each ideal holds one integer with a field per outcome,
-and a step masks out the fields of the outcomes that forbid it; this is how
-witnesses are recounted.  Pair probabilities come from a single pass: a
+steps it forbids dropped.  One forward pass, ``_down``, does all the
+forward counting on P's lattice, for several outcomes at once: each ideal
+holds one integer with a field per outcome, and a step masks out the fields
+of the outcomes that forbid it.  ``_counts`` reads its fields at the full
+ideal, which is how witnesses are recounted, and ``_matrix`` reads its
+vector for one outcome.  Pair probabilities come from a single pass: the
 forward pass counts down(I) = e(P|I), a backward pass up(I) = e(P|rest),
 and #(y before x) is the sum of down(I)*up(I+x) over the ideals I that x
 extends and y lies in; the sums for every y are carried in one integer per
@@ -226,54 +228,31 @@ def _lattice(poset):
     return poset._lattice
 
 
-def _down(poset, given):
-    """down[i] = e(Q|ideal i) for Q = P + given, on P's lattice.
+def _down(poset, givens):
+    """down[i] packs e(P + given | ideal i) for each given, on P's lattice.
 
-    ``given`` lists comparisons (a, b), a below b.  The ideals of Q are
-    the ideals of P that hold a whenever they hold b, so the step adding
-    x is dropped unless the ideal holds every a given below x.  Ideals of
-    P that are not ideals of Q are never reached and keep down = 0.
-    """
-    ideals, steps, offsets = _lattice(poset)
-    need = [0] * poset.n
-    for a, b in given:
-        need[b] |= 1 << a
-    down = [0] * len(ideals)
-    down[0] = 1
-    for i, ideal in enumerate(ideals):
-        ways = down[i]
-        if ways:
-            for step in steps[offsets[i] : offsets[i + 1]]:
-                if not need[step & 31] & ~ideal:
-                    down[step >> 5] += ways
-    return down
-
-
-def _counts(poset, givens):
-    """[e(P + given) for given in givens], from one forward pass over P's lattice.
-
-    Each ideal holds one packed int, e(P + given | ideal) in the field of
-    each given.  As in ``_down``, a given drops the step adding x unless
-    the ideal holds every a it puts below x: the step's gate masks out the
-    fields of the givens whose need the ideal misses.  The gates are built
-    per x once per call, and most steps have none.  A field is as wide as
-    n!, which bounds every count, so no field carries into the next.
+    ``givens`` lists outcomes, each a tuple of comparisons (a, b), a below
+    b.  The ideals of P + given are the ideals of P that hold a whenever
+    they hold b, so the step adding x is dropped unless the ideal holds
+    every a the given puts below x.  All the givens share one forward pass:
+    each ideal holds one int with a field per given, and a step's gate
+    masks out the fields of the givens whose need the ideal misses.  The
+    gates are built per x once per call, and most steps have none.  A field
+    is as wide as n!, which bounds every count, so no field carries into
+    the next; with one given the int is the count itself.  Ideals of P that
+    no given reaches keep 0.
     """
     ideals, steps, offsets = _lattice(poset)
     width = math.factorial(poset.n).bit_length()
     ones = (1 << width) - 1
     every = (1 << width * len(givens)) - 1
-    fields = {}  # x -> {need: the fields of the givens with that need at x}
+    gates = [()] * poset.n  # x -> ((need, keep the other fields), ...)
     for f, given in enumerate(givens):
         needs = {}
         for a, b in given:
             needs[b] = needs.get(b, 0) | 1 << a
         for x, need in needs.items():
-            gate = fields.setdefault(x, {})
-            gate[need] = gate.get(need, 0) | ones << width * f
-    gates = [()] * poset.n
-    for x, gate in fields.items():
-        gates[x] = [(need, every ^ masked) for need, masked in gate.items()]
+            gates[x] += ((need, every ^ ones << width * f),)
     down = [0] * len(ideals)
     down[0] = every // ones  # a 1 in every field
     for i, ideal in enumerate(ideals):
@@ -289,18 +268,26 @@ def _counts(poset, givens):
                     down[step >> 5] += kept
                 else:
                     down[step >> 5] += ways
-    return [down[-1] >> width * f & ones for f in range(len(givens))]
+    return down
+
+
+def _counts(poset, givens):
+    """[e(P + given) for given in givens]: the fields of ``_down`` at the full ideal."""
+    width = math.factorial(poset.n).bit_length()
+    full = _down(poset, givens)[-1]
+    return [full >> width * f & (1 << width) - 1 for f in range(len(givens))]
 
 
 def _matrix(poset, given=()):
     """The PairCountMatrix of P + given, from P's lattice.
 
-    The forward pass gives down(I) = e(Q|I) for every ideal I of
-    Q = P + given; a backward pass over the same ideals gives
-    up(I) = e(Q|rest), and an ideal of P that is not one of Q has up = 0.
-    The extensions that place x right after exactly the ideal I number
-    down(I)*up(I+x), and they put every y of I before x, so #(y before x)
-    sums them over the steps from ideals that hold y.  Pairs that P or
+    The forward pass ``_down(P, [given])``, with its one field, gives
+    down(I) = e(Q|I) for every ideal I of Q = P + given; a backward pass
+    over the same ideals gives up(I) = e(Q|rest), and an ideal of P that
+    is not one of Q has up = 0.  The extensions that place x right after
+    exactly the ideal I number down(I)*up(I+x), and they put every y of I
+    before x, so #(y before x) sums them over the steps from ideals that
+    hold y.  Pairs that P or
     ``given`` order come out as e(Q) or 0 by the same sum.  The sums for
     every y are taken at once: column x is one integer holding
     #(y before x) in field y, and a step adds down(I)*up(I+x) times the
@@ -309,7 +296,7 @@ def _matrix(poset, given=()):
     """
     ideals, steps, offsets = _lattice(poset)
     n = poset.n
-    down = _down(poset, given)
+    down = _down(poset, [given])
     total = down[-1]
     width = total.bit_length()
     units = [1 << width * y for y in range(n)]

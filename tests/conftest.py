@@ -12,7 +12,6 @@ The reference canonical form scores every relabeling that keeps the
 classes of iterated degree refinement.
 """
 
-import functools
 import itertools
 from fractions import Fraction
 from pathlib import Path
@@ -89,7 +88,7 @@ def brute_balanced_pair(poset):
     return None
 
 
-def brute_gpc(poset, mode, strict):
+def brute_gpc(poset, mode, strict, counts=None):
     """Gold-partition witness by the documented search order, or None.
 
     First pairs are taken in ascending ``incomparable_pairs()`` order.  A
@@ -98,9 +97,17 @@ def brute_gpc(poset, mode, strict):
     t0 >= t1 + t2 (> when strict).  Nonadaptive: the first pair (c, d) of P
     other than the first pair that is incomparable in, and admissible for,
     every non-chain outcome.  Every t is the brute count of a
-    ``with_relation`` poset.
+    ``with_relation`` poset.  The counts are kept in ``counts``, a dict from
+    poset to count, for this call only unless the caller passes one dict to
+    share between its calls.
     """
-    count = functools.lru_cache(maxsize=None)(brute_count)
+    counts = {} if counts is None else counts
+
+    def count(p):
+        if p not in counts:
+            counts[p] = brute_count(p)
+        return counts[p]
+
     vacuous = 0 if strict else 1
     t0 = count(poset)
 

@@ -194,6 +194,12 @@ def test_verify_rejects_tampering(point_and_chain):
     forged_second = GpcBranch(c.result, c.t1 - 1, c.second, c.t2)
     bad_second_t1 = GpcWitness(w.first, w.t0, (b, forged_second), w.strict)
     assert not verify_gpc_witness(point_and_chain, bad_second_t1)
+    # a first pair out of range is rejected, not raised on, with the
+    # branches oriented to match it
+    for first in ((3, 0), (-1, 0)):
+        results = (first, first[::-1])
+        branches = tuple(GpcBranch(r, x.t1, x.second, x.t2) for r, x in zip(results, w.branches))
+        assert not verify_gpc_witness(point_and_chain, GpcWitness(first, w.t0, branches, w.strict))
 
 
 def test_verify_rejects_comparable_first_pair():

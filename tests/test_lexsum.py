@@ -326,11 +326,18 @@ def test_lift_witness_exact_multiples(n_poset):
     assert verify_gpc_witness(spec.poset, lifted)
 
 
-def test_lift_witness_counts_once_per_comparison(monkeypatch, n_poset):
-    """One pass on Q and one on the sum; each comparison in one orientation."""
-    q = Poset.antichain(3)
+@pytest.mark.parametrize(
+    "relations, vacuous", [([], False), ([(1, 2)], True)], ids=["antichain", "point-and-chain"]
+)
+def test_lift_witness_counts_once_per_comparison(monkeypatch, n_poset, relations, vacuous):
+    """One pass on Q and one on the sum; each comparison in one orientation.
+
+    The point beside a chain has a witness whose first branch is a chain,
+    with no second pair, so nothing is counted for it past its t1.
+    """
+    q = Poset.from_relations(3, relations)
     w = check_gpc(q)
-    assert all(branch.second is not None for branch in w.branches)
+    assert [branch.second is None for branch in w.branches] == [vacuous, False]
     spec = compose_at(n_poset, 0, q)
     calls = []
     builds = []
@@ -354,7 +361,8 @@ def test_lift_witness_counts_once_per_comparison(monkeypatch, n_poset):
     assert [p for p, _ in calls] == [q, spec.poset]
     for (_, givens), witness in zip(calls, (w, lifted)):
         (r1, s1), (r2, s2) = [(b.result, b.second) for b in witness.branches]
-        assert givens == [(), (r1,), (r1, s1), (r2, s2)]
+        seconds = [(r2, s2)] if vacuous else [(r1, s1), (r2, s2)]
+        assert givens == [(), (r1,), *seconds]
     # every count runs on the lattice of Q or of the sum; Q's came with w
     assert builds == [spec.poset]
     assert lifted.t0 == count_extensions(spec.poset)
