@@ -74,6 +74,15 @@ def _incomparable(poset, c, d):
     return 0 <= c < poset.n and 0 <= d < poset.n and poset.incomparable_mask(c) >> d & 1
 
 
+def _is_pair(pair):
+    """Whether ``pair`` is two integers."""
+    return (
+        isinstance(pair, (tuple, list))
+        and len(pair) == 2
+        and all(isinstance(v, int) for v in pair)
+    )
+
+
 def _stays_incomparable(poset, x, y, c, d):
     """Whether c and d, incomparable in P, are still incomparable in P + x<y.
 
@@ -215,8 +224,10 @@ def _recount(poset, results, seconds):
 def verify_gpc_witness(poset, witness):
     """Recount every t-value of a witness from scratch and recheck it.
 
-    The first pair must be two incomparable points of P, and the two
-    branches must orient it one each way.  A recorded second pair must be
+    The first pair, each branch's orientation of it and each recorded
+    second pair must be two integers, or the witness is rejected.  The
+    first pair must be two incomparable points of P, and the two branches
+    must orient it one each way.  A recorded second pair must be
     two points incomparable in the outcome, read off P's rows.  The
     recounts are not the pair-count matrices the search reads, so they
     check it independently: e(P) and every branch's (t1, t2) come from one
@@ -229,9 +240,12 @@ def verify_gpc_witness(poset, witness):
     achieves at most the recorded t2 -- the form lifted witnesses take on
     branches whose component part is already sorted.
     """
-    a, b = witness.first
     results = [branch.result for branch in witness.branches]
     seconds = [branch.second for branch in witness.branches]
+    pairs = [witness.first, *results, *(s for s in seconds if s is not None)]
+    if not all(map(_is_pair, pairs)):
+        return False
+    a, b = witness.first
     if sorted(results) != sorted([(a, b), (b, a)]) or not _incomparable(poset, a, b):
         return False
     for result, second in zip(results, seconds):

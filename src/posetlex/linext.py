@@ -6,7 +6,10 @@ extension is a maximal chain from the empty ideal to the full ground set
 representation of a poset", Fundam. Inform. 71, 2006).
 ``count_extensions`` counts the chains in its own level-by-level pass over
 ideal bitmasks.  Everything else runs on P's lattice, built once per Poset
-and kept on it (``_lattice``).  Enumeration is one top-down pass over it:
+and kept on it (``_lattice``) as flat step arrays: one entry per step, its
+source ideal, target ideal and added element, in three packed arrays.
+Every counting pass is one loop over the three zipped, forward or
+reversed.  Enumeration is one top-down pass over the lattice:
 each ideal's completions are its successors' completions with the element
 added, packed one label per byte of an int.  Counts of outcomes need no
 outcome poset: the ideals of P + a<b are the ideals of P that hold a
@@ -30,10 +33,12 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, ChainError
+from .poset import MAX_ELEMENTS
 
 #: Default ceiling on e(P) for explicit enumeration of L(P), sized from
 #: memory: ``enumerate_extensions`` peaks at about 165 bytes per extension
@@ -43,6 +48,9 @@ from .errors import CapExceededError, ChainError
 #: about 90-180 MB.  Reading a table's ``classes`` adds the unpacked
 #: extensions to the packed ones: 202-229 bytes per extension in all.
 DEFAULT_ENUM_CAP = 10**6
+
+#: _WIDTH[n] bits hold n!, which bounds every count on n points.
+_WIDTH = [math.factorial(n).bit_length() for n in range(MAX_ELEMENTS + 1)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,26 +164,31 @@ def _descend(poset, mark=None):
     completions, the labels of the elements outside it: over its steps
     I + x in ascending x, those of I + x plus x at rank |I| + 1.  Taking
     the least x first lists them in lexicographic order of the elements'
-    sequence.  Two levels are held at a time.  The completions are grouped
-    by a key: ``mark(ideal, x)``, called once per step, gives a tuple to
-    prepend to the keys through it, or None to make them None; without
-    ``mark`` every key is ().  The last level is yielded, not kept: one
-    ``(key, head, tails)`` per step from the empty ideal, ``head`` being
-    x's field with rank 1 and ``head + tail`` the extensions.
+    sequence.  An ideal's steps are the run of its index in the sorted
+    ``sources`` array, found by ``bisect``.  Two levels are held at a time.
+    The completions are grouped by a key: ``mark(ideal, x)``, called once
+    per step, gives a tuple to prepend to the keys through it, or None to
+    make them None; without ``mark`` every key is ().  The last level is
+    yielded, not kept: one ``(key, head, tails)`` per step from the empty
+    ideal, ``head`` being x's field with rank 1 and ``head + tail`` the
+    extensions.
     """
-    ideals, steps, offsets = _lattice(poset)
+    ideals, sources, targets, elements = _lattice(poset)
     size = poset.n
     level = {len(ideals) - 1: {(): [0]}}
+    stop = len(sources)
     for i in range(len(ideals) - 2, -1, -1):
         ideal = ideals[i]
         if ideal.bit_count() < size:
             upper, level, size = level, {}, size - 1
         groups = level[i] = {}
-        for step in steps[offsets[i] : offsets[i + 1]]:
-            x = step & 31
+        start = bisect_left(sources, i, 0, stop)
+        for s in range(start, stop):
+            j = targets[s]
+            x = elements[s]
             head = size + 1 << 8 * x
             mine = mark(ideal, x) if mark else ()
-            for key, tails in (upper[step >> 5] if i else upper.pop(step >> 5)).items():
+            for key, tails in (upper[j] if i else upper.pop(j)).items():
                 if mine is None or key is None:
                     key = None
                 elif mine:
@@ -189,31 +202,36 @@ def _descend(poset, mark=None):
                     groups[key] = grown
                 else:
                     known += grown
+        stop = start
 
 
 def _lattice(poset):
-    """P's lattice of ideals: (ideals, steps, offsets), built once per Poset.
+    """P's lattice of ideals as flat step arrays, built once per Poset.
 
-    ``ideals`` lists the ideal bitmasks level by level, each level in the
-    order the forward pass of ``count_extensions`` first reaches them.  The
-    successor steps of ideal i are ``steps[offsets[i]:offsets[i + 1]]``,
-    each ``j << 5 | x``: adding element x (n <= 24 < 32) gives ideal j.
-    Both are packed arrays, since a wide poset has tens of thousands of
-    steps.  The lattice is kept on the instance; it holds no count.
+    Returns ``(ideals, sources, targets, elements)``.  ``ideals`` lists the
+    ideal bitmasks level by level, each level in the order the forward pass
+    of ``count_extensions`` first reaches them.  Step s adds element
+    ``elements[s]`` to ideal ``sources[s]`` and gives ideal ``targets[s]``;
+    the steps are grouped by source, ascending, and by ascending element
+    within a source.  Every counting pass is one loop over the three arrays
+    zipped; enumeration finds an ideal's run by ``bisect``.  They are
+    packed arrays, since a wide poset has millions of steps.  The
+    lattice is kept on the instance; it holds no count.
     """
     if poset._lattice is not None:
         return poset._lattice
     grow = [(poset.below_mask(x), poset.below_mask(x) | 1 << x) for x in range(poset.n)]
     ideals = array("I", [0])
-    steps = array("I")
-    offsets = array("I", [0])
+    sources = array("I")
+    targets = array("I")
+    elements = array("B")
     start = 0
     while start < len(ideals):
         # One level; the index of the next one is dropped after it, so the
         # build never holds more than one level's dict.
         stop = len(ideals)
         index = {}
-        for ideal in ideals[start:stop]:
+        for i, ideal in enumerate(ideals[start:stop], start):
             for x, (below, mask) in enumerate(grow):
                 if ideal & mask == below:
                     grown = ideal | mask
@@ -221,10 +239,11 @@ def _lattice(poset):
                     if j is None:
                         j = index[grown] = len(ideals)
                         ideals.append(grown)
-                    steps.append(j << 5 | x)
-            offsets.append(len(steps))
+                    sources.append(i)
+                    targets.append(j)
+                    elements.append(x)
         start = stop
-    poset._lattice = (ideals, steps, offsets)
+    poset._lattice = (ideals, sources, targets, elements)
     return poset._lattice
 
 
@@ -234,16 +253,16 @@ def _down(poset, givens):
     ``givens`` lists outcomes, each a tuple of comparisons (a, b), a below
     b.  The ideals of P + given are the ideals of P that hold a whenever
     they hold b, so the step adding x is dropped unless the ideal holds
-    every a the given puts below x.  All the givens share one forward pass:
-    each ideal holds one int with a field per given, and a step's gate
-    masks out the fields of the givens whose need the ideal misses.  The
-    gates are built per x once per call, and most steps have none.  A field
-    is as wide as n!, which bounds every count, so no field carries into
-    the next; with one given the int is the count itself.  Ideals of P that
-    no given reaches keep 0.
+    every a the given puts below x.  All the givens share one forward pass,
+    a single loop over the zipped step arrays: each ideal holds one int
+    with a field per given, and a step's gate masks out the fields of the
+    givens whose need the ideal misses.  The gates are built per x once per
+    call, and most steps have none.  A field is as wide as n!, which bounds
+    every count, so no field carries into the next; with one given the int
+    is the count itself.  Ideals of P that no given reaches keep 0.
     """
-    ideals, steps, offsets = _lattice(poset)
-    width = math.factorial(poset.n).bit_length()
+    ideals, sources, targets, elements = _lattice(poset)
+    width = _WIDTH[poset.n]
     ones = (1 << width) - 1
     every = (1 << width * len(givens)) - 1
     gates = [()] * poset.n  # x -> ((need, keep the other fields), ...)
@@ -255,25 +274,21 @@ def _down(poset, givens):
             gates[x] += ((need, every ^ ones << width * f),)
     down = [0] * len(ideals)
     down[0] = every // ones  # a 1 in every field
-    for i, ideal in enumerate(ideals):
+    for i, j, x in zip(sources, targets, elements):
         ways = down[i]
-        if ways:
-            for step in steps[offsets[i] : offsets[i + 1]]:
-                gate = gates[step & 31]
-                if gate:
-                    kept = ways
-                    for need, keep in gate:
-                        if ideal & need != need:
-                            kept &= keep
-                    down[step >> 5] += kept
-                else:
-                    down[step >> 5] += ways
+        gate = gates[x]
+        if gate and ways:
+            ideal = ideals[i]
+            for need, keep in gate:
+                if ideal & need != need:
+                    ways &= keep
+        down[j] += ways
     return down
 
 
 def _counts(poset, givens):
     """[e(P + given) for given in givens]: the fields of ``_down`` at the full ideal."""
-    width = math.factorial(poset.n).bit_length()
+    width = _WIDTH[poset.n]
     full = _down(poset, givens)[-1]
     return [full >> width * f & (1 << width) - 1 for f in range(len(givens))]
 
@@ -282,19 +297,21 @@ def _matrix(poset, given=()):
     """The PairCountMatrix of P + given, from P's lattice.
 
     The forward pass ``_down(P, [given])``, with its one field, gives
-    down(I) = e(Q|I) for every ideal I of Q = P + given; a backward pass
-    over the same ideals gives up(I) = e(Q|rest), and an ideal of P that
-    is not one of Q has up = 0.  The extensions that place x right after
-    exactly the ideal I number down(I)*up(I+x), and they put every y of I
-    before x, so #(y before x) sums them over the steps from ideals that
-    hold y.  Pairs that P or
-    ``given`` order come out as e(Q) or 0 by the same sum.  The sums for
-    every y are taken at once: column x is one integer holding
-    #(y before x) in field y, and a step adds down(I)*up(I+x) times the
-    integer with a 1 in the field of each y in I.  No count exceeds e(Q),
-    so fields as wide as e(Q) never carry into each other.
+    down(I) = e(Q|I) for every ideal I of Q = P + given; a backward pass,
+    one loop over the zipped step arrays reversed, gives up(I) = e(Q|rest)
+    over the same ideals, and an ideal of P that is not one of Q keeps
+    up = 0.  The extensions that place x right after exactly the ideal I
+    number down(I)*up(I+x), and they put every y of I before x, so
+    #(y before x) sums them over the steps from ideals that hold y.  Pairs
+    that P or ``given`` order come out as e(Q) or 0 by the same sum.  The
+    sums for every y are taken at once: column x is one integer holding
+    #(y before x) in field y, and a step adds down(I)*up(I+x) times I's
+    spread, the integer with a 1 in the field of each y in I.  The reversed
+    loop meets an ideal's steps after all of its successors', so I's
+    spread is I + x's less x's field, taken at I's last step.  No count
+    exceeds e(Q), so fields as wide as e(Q) never carry into each other.
     """
-    ideals, steps, offsets = _lattice(poset)
+    ideals, sources, targets, elements = _lattice(poset)
     n = poset.n
     down = _down(poset, [given])
     total = down[-1]
@@ -303,24 +320,19 @@ def _matrix(poset, given=()):
     columns = [0] * n
     up = [0] * len(ideals)
     up[-1] = 1
-    for i in range(len(ideals) - 2, -1, -1):
-        ways = down[i]
-        if not ways:
-            continue
-        ideal = ideals[i]
-        spread = 0
-        while ideal:
-            bit = ideal & -ideal
-            ideal ^= bit
-            spread += units[bit.bit_length() - 1]
-        spread *= ways
-        after = 0
-        for step in steps[offsets[i] : offsets[i + 1]]:
-            tail = up[step >> 5]
-            if tail:
-                after += tail
-                columns[step & 31] += tail * spread
-        up[i] = after
+    spreads = [0] * len(ideals)
+    spreads[-1] = sum(units)
+    last = -1
+    for i, j, x in zip(reversed(sources), reversed(targets), reversed(elements)):
+        if i != last:
+            last = i
+            spreads[i] = spread = spreads[j] - units[x]
+            ways = down[i]
+            weighted = spread * ways
+        tail = up[j]
+        if tail and ways:
+            up[i] += tail
+            columns[x] += tail * weighted
     field = (1 << width) - 1
     before = ([column >> width * y & field for y in range(n)] for column in columns)
     return PairCountMatrix(tuple(zip(*before)), total)
@@ -382,11 +394,16 @@ def delta(poset):
     return Fraction(best, matrix.total), best_pair
 
 
+def _balanced(before, total):
+    """Whether before/total lies in [1/3, 2/3]: total <= 3*before <= 2*total."""
+    return total <= 3 * before <= 2 * total
+
+
 def balanced_pair(poset):
     """First incomparable pair with P(x<y) in [1/3, 2/3], or None.
 
-    With c = #(x before y) and t = e(P), the test is t <= 3c <= 2t.  None
-    would be a counterexample to the 1/3-2/3 conjecture; callers are
+    With c = #(x before y) and t = e(P), the test is ``_balanced(c, t)``.
+    None would be a counterexample to the 1/3-2/3 conjecture; callers are
     expected to surface it loudly.
     """
     if poset.is_chain():
@@ -395,6 +412,6 @@ def balanced_pair(poset):
     total = matrix.total
     for x, y in poset.incomparable_pairs():
         before = matrix.counts[x][y]
-        if total <= 3 * before <= 2 * total:
+        if _balanced(before, total):
             return (x, y), Fraction(before, total)
     return None

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import conjectures, linext
 from .errors import SizeCapError
@@ -55,7 +54,6 @@ def sweep(max_n, mode="adaptive", strict=False):
     if max_n > SWEEP_CAP:
         raise SizeCapError(f"sweep capped at {SWEEP_CAP} elements")
     summary = SweepSummary(max_n, mode)
-    low, high = Fraction(1, 3), Fraction(2, 3)
     for poset, automorphisms in poset_classes(max_n):
         labelings = math.factorial(poset.n) // automorphisms
         summary.total += labelings
@@ -70,7 +68,7 @@ def sweep(max_n, mode="adaptive", strict=False):
         else:
             # P(first pair) is t1/t0 of the branch that orients it as given.
             t1 = next(b.t1 for b in witness.branches if b.result == witness.first)
-            balanced = low <= Fraction(t1, witness.t0) <= high
+            balanced = linext._balanced(t1, witness.t0)
             if not balanced:
                 summary.unbalanced_witnesses.append(poset)
         # A balanced first pair is a balanced pair; search only without one.

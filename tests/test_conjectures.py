@@ -77,9 +77,11 @@ def test_witness_determinism(n_poset):
 @given(posets(6))
 def test_witness_matches_reference_search(poset):
     assume(not poset.is_chain())
+    counts = {}  # poset -> brute count, shared by the four brute_gpc calls
     for mode in ("adaptive", "nonadaptive"):
         for strict in (False, True):
-            assert check_gpc(poset, mode=mode, strict=strict) == brute_gpc(poset, mode, strict)
+            expected = brute_gpc(poset, mode, strict, counts)
+            assert check_gpc(poset, mode=mode, strict=strict) == expected
 
 
 @pytest.mark.parametrize(
@@ -200,6 +202,11 @@ def test_verify_rejects_tampering(point_and_chain):
         results = (first, first[::-1])
         branches = tuple(GpcBranch(r, x.t1, x.second, x.t2) for r, x in zip(results, w.branches))
         assert not verify_gpc_witness(point_and_chain, GpcWitness(first, w.t0, branches, w.strict))
+    # pairs that are not two integers are rejected, not raised on
+    for second in ((), (0, 1, 2)):
+        malformed = GpcWitness(w.first, w.t0, (b, GpcBranch(c.result, c.t1, second, c.t2)), w.strict)
+        assert not verify_gpc_witness(point_and_chain, malformed)
+    assert not verify_gpc_witness(point_and_chain, GpcWitness((0,), w.t0, w.branches, w.strict))
 
 
 def test_verify_rejects_comparable_first_pair():

@@ -27,6 +27,7 @@ from conftest import (
     brute_delta,
     brute_extensions,
     brute_pair_counts,
+    closed_subsets,
     posets,
     twin_heavy_posets,
 )
@@ -302,9 +303,35 @@ def test_lattice_memo_leaves_equality_and_hash(monkeypatch, n_poset):
     assert linext._lattice(n_poset) is lattice
     assert linext._counts(n_poset, [((0, 1),)]) == [pair_counts(n_poset).counts[0][1]] == [2]
     assert builds == [n_poset]
-    ideals, steps, offsets = lattice
-    assert len(ideals) == len(offsets) - 1 and offsets[-1] == len(steps)
+    ideals, sources, targets, elements = lattice
+    assert len(sources) == len(targets) == len(elements)
+    assert sources[-1] == len(ideals) - 2  # the full ideal has no steps
     assert ideals[0] == 0 and ideals[-1] == (1 << n_poset.n) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(posets(7), twin_heavy_posets(7)))
+def test_lattice_matches_closed_subsets(poset):
+    """The levels are P's down-sets by size; the steps add minimal elements."""
+    n = poset.n
+    below = [sum(1 << y for y in range(n) if poset.is_lt(y, x)) for x in range(n)]
+    closed = closed_subsets(n, below)
+    ideals, sources, targets, elements = linext._lattice(poset)
+    sizes = [ideal.bit_count() for ideal in ideals]
+    assert sizes == sorted(sizes)
+    for k in range(n + 1):
+        level = [ideal for ideal, size in zip(ideals, sizes) if size == k]
+        assert sorted(level) == [s for s in closed if s.bit_count() == k]
+    steps = [(ideals[i], x, ideals[j]) for i, j, x in zip(sources, targets, elements)]
+    assert sorted(steps) == [
+        (ideal, x, ideal | 1 << x)
+        for ideal in closed
+        for x in range(n)
+        if not ideal >> x & 1 and not below[x] & ~ideal
+    ]
+    assert list(sources) == sorted(sources)
+    for s in range(1, len(sources)):
+        assert sources[s - 1] < sources[s] or elements[s - 1] < elements[s]
 
 
 def _draw_outcomes(data, poset):
