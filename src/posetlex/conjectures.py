@@ -12,9 +12,11 @@ forces t0 <= 3.
 
 Two readings of "consecutive" are implemented: adaptive (the second pair
 may depend on the first result, the default) and nonadaptive (one second
-pair serves both results).  A strict variant (t0 > t1 + t2, vacuous t2
-counted as 0) is kept behind ``strict``; note that under it no poset with
-exactly three extensions can pass, so it is not the default.
+pair serves both results).  In one outcome the inequality is a window of
+counts, and the search scans for the first second pair inside it.  A
+strict variant (t0 > t1 + t2, vacuous t2 counted as 0) is kept behind
+``strict``; note that under it no poset with exactly three extensions can
+pass, so it is not the default.
 """
 
 from __future__ import annotations
@@ -106,30 +108,27 @@ def _least_t2(t1, strict):
     return (t1 + 1) // 2
 
 
-def _admissible_seconds(matrix, t0, strict):
-    """{second: t2} for every second comparison satisfying the inequality.
+def _window(t0, t1, strict):
+    """(lo, hi): the counts of a second pair that pass in a t1 outcome.
 
-    ``matrix`` is the pair-count matrix of one outcome, t1 = matrix.total.
-    The pairs c < d with 0 < counts[c][d] < t1 are the outcome's
-    incomparable pairs, taken in ascending index order, and such a pair
-    leaves t2 = max(counts[c][d], t1 - counts[c][d]).  An outcome with
-    t1 = 1 is a chain and its second comparison is vacuous, keyed None: it
-    leaves the one surviving extension, so t2 = 1 (0 under the strict
-    reading, which shifts every vacuous count down by one).
+    A pair ordered c<d in ``before`` of the t1 extensions passes exactly
+    when lo <= before <= hi.  It leaves t2 = max(before, t1 - before), so
+    with room = t0 - t1 (less one when strict) the inequality reads
+    t1 - room <= before <= room; 0 < before < t1 keeps the pair
+    incomparable in the outcome.  A chain outcome (t1 = 1) takes the
+    vacuous t2: it accepts every pair (count 0 or 1) if that t2 passes.
     """
-    t1 = matrix.total
     if t1 == 1:
-        t2 = _least_t2(t1, strict)
-        return {None: t2} if _partition_ok(t0, t1, t2, strict) else {}
-    seconds = {}
-    for c, row in enumerate(matrix.counts):
-        for d in range(c + 1, len(row)):
-            before = row[d]
-            if 0 < before < t1:
-                t2 = max(before, t1 - before)
-                if _partition_ok(t0, t1, t2, strict):
-                    seconds[(c, d)] = t2
-    return seconds
+        return (0, 1) if _partition_ok(t0, 1, _least_t2(1, strict), strict) else (1, 0)
+    room = t0 - t1 - strict
+    return max(1, t1 - room), min(t1 - 1, room)
+
+
+def _branch(result, t1, second, before, strict):
+    """The GpcBranch for ``second``, which the outcome orders in ``before``."""
+    if t1 == 1:
+        return GpcBranch(result, 1, None, _least_t2(1, strict))
+    return GpcBranch(result, t1, second, max(before, t1 - before))
 
 
 def check_gpc(poset, mode="adaptive", strict=False):
@@ -140,55 +139,55 @@ def check_gpc(poset, mode="adaptive", strict=False):
     takes the first admissible second pair of each outcome.  In nonadaptive
     mode a single second pair, the first in ascending order, must be
     incomparable in, and work for, every non-chain outcome.  Every t-value
-    is read off the pair-count matrices of P and of its outcomes, all
-    computed on P's lattice of ideals.  A first pair one of whose outcomes
-    has t0 < t1 + ceil(t1/2) cannot pass, since every second pair leaves
+    is read off the pair-count matrices of P and of P + a<b, both computed
+    on P's lattice of ideals.  A first pair one of whose outcomes has
+    t0 < t1 + ceil(t1/2) cannot pass, since every second pair leaves
     t2 >= ceil(t1/2), so it is skipped without a pass over that outcome.
-    Otherwise the matrix of P + a<b is read, and the matrix of P + b<a is
-    P's less that one, taken only when the first outcome admits a second
-    pair.  The matrices of P and of each P + a<b are kept on the poset
-    (``linext._kept_matrix``), so both modes, and every later call, share
-    one pass for each.
+    Otherwise the matrix of P + a<b is read, and each count of P + b<a is
+    P's count less that one.  One scan of P's incomparable pairs, in
+    ascending order, stops at the first pair whose count lies inside the
+    outcome's window (``_window``; inside both, in nonadaptive mode): a
+    pair P orders counts 0 or t1, outside every window.  The matrices of P
+    and of each P + a<b are kept on the poset (``linext._kept_matrix``),
+    so both modes, and every later call, share one pass for each.
     """
     if mode not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown mode {mode!r}")
     if poset.is_chain():
         raise ChainError("the gold partition conjecture concerns non-chains")
     matrix = linext.pair_counts(poset)
-    t0 = matrix.total
+    whole, t0 = matrix.counts, matrix.total
     pairs = poset.incomparable_pairs()
     for a, b in pairs:
         # t1 + _least_t2(t1) grows with t1, so the larger outcome decides.
-        t1 = max(matrix.counts[a][b], matrix.counts[b][a])
+        t1 = max(whole[a][b], whole[b][a])
         if not _partition_ok(t0, t1, _least_t2(t1, strict), strict):
             continue  # no second pair can satisfy the inequality
-        a_first = linext._kept_matrix(poset, ((a, b),))
-        options = []
-        for result in ((a, b), (b, a)):
-            outcome = a_first if result == (a, b) else matrix - a_first
-            seconds = _admissible_seconds(outcome, t0, strict)
-            if not seconds:
-                break
-            options.append((result, outcome.total, seconds))
-        if len(options) < 2:
-            continue
+        kept = linext._kept_matrix(poset, ((a, b),))
+        part, t1 = kept.counts, kept.total
+        (lo, hi), (lo2, hi2) = _window(t0, t1, strict), _window(t0, t0 - t1, strict)
         if mode == "adaptive":
-            picks = [next(iter(seconds)) for _, _, seconds in options]
+            pick = next(((c, d) for c, d in pairs if lo <= part[c][d] <= hi), None)
+            if pick is None:
+                continue
+            pick2 = next(
+                ((c, d) for c, d in pairs if lo2 <= whole[c][d] - part[c][d] <= hi2), None
+            )
         else:
-            shared = next(
+            pick = pick2 = next(
                 (
-                    pair
-                    for pair in pairs
-                    if all(pair in seconds or None in seconds for _, _, seconds in options)
+                    (c, d)
+                    for c, d in pairs
+                    if lo <= part[c][d] <= hi and lo2 <= whole[c][d] - part[c][d] <= hi2
                 ),
                 None,
             )
-            if shared is None:
-                continue
-            picks = [None if None in seconds else shared for _, _, seconds in options]
-        branches = tuple(
-            GpcBranch(result, t1, pick, seconds[pick])
-            for (result, t1, seconds), pick in zip(options, picks)
+        if pick2 is None:
+            continue
+        (c, d), (c2, d2) = pick, pick2
+        branches = (
+            _branch((a, b), t1, pick, part[c][d], strict),
+            _branch((b, a), t0 - t1, pick2, whole[c2][d2] - part[c2][d2], strict),
         )
         return GpcWitness((a, b), t0, branches, strict)
     return None

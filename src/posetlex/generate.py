@@ -11,6 +11,8 @@ from .poset import Poset
 def poset_classes(max_n):
     """Yield (poset, |Aut(poset)|) once per isomorphism class on 1..max_n points.
 
+    Nothing is yielded when max_n < 1.
+
     Classes come level by level, in a fixed order.  Every poset has a
     maximal point, and removing it leaves a poset on one point fewer, so
     the classes on n+1 points are reached by putting one new maximal point
@@ -24,7 +26,7 @@ def poset_classes(max_n):
     children are built, and the last level is dropped class by class as it
     is handed over.
     """
-    level = [(Poset.antichain(1), 1)]
+    level = [(Poset.antichain(1), 1)] if max_n >= 1 else []
     for n in range(1, max_n):
         yield from level
         top = 1 << n

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import conjectures, linext
-from .errors import SizeCapError
+from .errors import SizeCapError, ZeroSizeError
 from .generate import poset_classes
 
 #: Class generation beyond this is out of desk reach (16,999 classes on 8 points).
@@ -49,8 +49,11 @@ def sweep(max_n, mode="adaptive", strict=False):
     Both checks are isomorphism invariant, so each isomorphism class is
     checked once, on its representative, and counted n!/|Aut| times, once
     per labeling.  Each failure list holds one representative per failing
-    class.  Expected outcome everywhere in reach: zero failures.
+    class.  Expected outcome everywhere in reach: zero failures.  A sweep
+    needs max_n >= 1: posets have at least one point.
     """
+    if max_n < 1:
+        raise ZeroSizeError(f"sweep needs at least 1 element, got {max_n}")
     if max_n > SWEEP_CAP:
         raise SizeCapError(f"sweep capped at {SWEEP_CAP} elements")
     summary = SweepSummary(max_n, mode)

@@ -54,11 +54,14 @@ def brute_locality_table(sum_poset, block, component):
     return columns, classes
 
 
-def brute_pair_counts(poset):
-    """counts[x][y] = number of extensions placing x before y."""
+def brute_pair_counts(poset, orders=None):
+    """counts[x][y] = number of ``orders`` placing x before y.
+
+    ``orders`` defaults to every linear extension of the poset.
+    """
     n = poset.n
     counts = [[0] * n for _ in range(n)]
-    for order in brute_extensions(poset):
+    for order in brute_extensions(poset) if orders is None else orders:
         for i, x in enumerate(order):
             for y in order[i + 1:]:
                 counts[x][y] += 1

@@ -69,6 +69,34 @@ def test_strict_reading_fails_on_three_extensions(point_and_chain):
     assert check_gpc(Poset.antichain(2), strict=True) is not None
 
 
+def test_window_is_the_inequality():
+    """A count passes the window exactly when its pair works as a second."""
+    for t0 in range(3, 41):
+        for t1 in range(2, t0):
+            for strict in (False, True):
+                lo, hi = conjectures._window(t0, t1, strict)
+                for before in range(t1 + 1):
+                    t2 = max(before, t1 - before)
+                    works = 0 < before < t1 and conjectures._partition_ok(t0, t1, t2, strict)
+                    assert (lo <= before <= hi) == works, (t0, t1, before, strict)
+
+
+@pytest.mark.parametrize(
+    "poset, t0",
+    [
+        (Poset.antichain(2), 2),  # both outcomes are chains
+        (files.load(POSETS_DIR / "p312.poset"), 3),  # one chain outcome
+        (Poset.from_relations(3, [(0, 1), (0, 2)]), 2),
+    ],
+    ids=["antichain2", "p312", "vee"],
+)
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])
+def test_chain_outcomes_match_reference_search(poset, t0, mode, strict):
+    assert linext.count_extensions(poset) == t0
+    assert check_gpc(poset, mode=mode, strict=strict) == brute_gpc(poset, mode, strict)
+
+
 def test_witness_determinism(n_poset):
     assert check_gpc(n_poset) == check_gpc(n_poset)
 
@@ -85,27 +113,27 @@ def test_witness_matches_reference_search(poset):
 
 
 @pytest.mark.parametrize(
-    "name, passes",
+    "name, outcomes",
     [
         # the unpruned search ran 4 outcome passes on p163425, 3 on example19;
-        # the balance bound leaves 2 outcome matrices on each, one per
-        # orientation of the witness's first pair
+        # the balance bound leaves the 2 outcomes of the witness's first pair
         ("p163425", 2),
         ("example19", 2),
     ],
 )
 @pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])
-def test_balance_bound_skips_outcome_passes(monkeypatch, name, passes, mode):
-    """Of the outcome matrices left, one is a pass and the rest complements."""
+def test_balance_bound_skips_outcome_passes(monkeypatch, name, outcomes, mode):
+    """Of the outcomes left, P + a<b is one pass and P + b<a no matrix at
+    all: its counts are read off P's matrix less that one, pair by pair."""
     poset = files.load(POSETS_DIR / f"{name}.poset")
-    outcomes = []
+    passes = []
     complements = []
     matrix = linext._matrix
     subtract = linext.PairCountMatrix.__sub__
 
     def counted(p, given=()):
         if given:
-            outcomes.append((p, given))
+            passes.append((p, given))
         return matrix(p, given)
 
     def counted_sub(whole, part):
@@ -116,10 +144,10 @@ def test_balance_bound_skips_outcome_passes(monkeypatch, name, passes, mode):
     monkeypatch.setattr(linext.PairCountMatrix, "__sub__", counted_sub)
     witness = check_gpc(poset, mode=mode)
     assert witness is not None and verify_gpc_witness(poset, witness)
-    assert len(outcomes) + len(complements) == passes
+    assert len(witness.branches) == outcomes
     # the one pass is for P + a<b, the witness's first pair (a, b), on P's lattice
-    assert len(outcomes) == 1
-    assert outcomes[0][0] is poset and outcomes[0][1] == (witness.first,)
+    assert passes == [(poset, (witness.first,))]
+    assert complements == []
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])

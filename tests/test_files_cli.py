@@ -337,6 +337,14 @@ def test_cli_sweep(capsys):
     assert "sweep capped at 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["sweep", "0"], ["sweep", "--", "-1"]])
+def test_cli_sweep_below_one_point(capsys, argv):
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sweep needs at least 1 element")
+
+
 def test_cli_error_exit_codes(capsys, tmp_path):
     assert main(["count", str(tmp_path / "missing.poset")]) == EXIT_ERROR
     bad = tmp_path / "bad.poset"

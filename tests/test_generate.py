@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from posetlex import GpcWitness, SizeCapError, conjectures, linext, sweep
+from posetlex import GpcWitness, SizeCapError, ZeroSizeError, conjectures, linext, sweep
 from posetlex.generate import poset_classes
 
 from conftest import labeled_posets
@@ -35,6 +35,11 @@ def test_labeled_totals():
         found[p.n - 1] += math.factorial(p.n) // aut
     assert tuple(found) == LABELED
     assert sum(found) == 134496
+
+
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_no_classes_below_one_point(max_n):
+    assert list(poset_classes(max_n)) == []
 
 
 def test_class_counts():
@@ -86,3 +91,9 @@ def test_sweep_searches_balanced_pairs_only_without_a_balanced_witness(monkeypat
 def test_sweep_cap():
     with pytest.raises(SizeCapError):
         sweep(9)
+
+
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_sweep_needs_a_point(max_n):
+    with pytest.raises(ZeroSizeError):
+        sweep(max_n)
