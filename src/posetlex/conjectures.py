@@ -147,47 +147,48 @@ def check_gpc(poset, mode="adaptive", strict=False):
     P's count less that one.  One scan of P's incomparable pairs, in
     ascending order, stops at the first pair whose count lies inside the
     outcome's window (``_window``; inside both, in nonadaptive mode): a
-    pair P orders counts 0 or t1, outside every window.  The matrices of P
-    and of each P + a<b are kept on the poset (``linext._kept_matrix``),
-    so both modes, and every later call, share one pass for each.
+    pair P orders counts 0 or t1, outside every window.  Each count is one
+    field read in place from a matrix's packed columns
+    (``PairCountMatrix.before``), so a scan that stops early reads few.  The matrices of P and of each P + a<b are kept
+    on the poset (``linext._kept_matrix``), so both modes, and every later
+    call, share one pass for each.
     """
     if mode not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown mode {mode!r}")
     if poset.is_chain():
         raise ChainError("the gold partition conjecture concerns non-chains")
     matrix = linext.pair_counts(poset)
-    whole, t0 = matrix.counts, matrix.total
+    whole, t0 = matrix.before, matrix.total
     pairs = poset.incomparable_pairs()
     for a, b in pairs:
         # t1 + _least_t2(t1) grows with t1, so the larger outcome decides.
-        t1 = max(whole[a][b], whole[b][a])
+        t1 = max(whole(a, b), t0 - whole(a, b))
         if not _partition_ok(t0, t1, _least_t2(t1, strict), strict):
             continue  # no second pair can satisfy the inequality
         kept = linext._kept_matrix(poset, ((a, b),))
-        part, t1 = kept.counts, kept.total
+        part, t1 = kept.before, kept.total
         (lo, hi), (lo2, hi2) = _window(t0, t1, strict), _window(t0, t0 - t1, strict)
         if mode == "adaptive":
-            pick = next(((c, d) for c, d in pairs if lo <= part[c][d] <= hi), None)
+            pick = next(((c, d) for c, d in pairs if lo <= part(c, d) <= hi), None)
             if pick is None:
                 continue
             pick2 = next(
-                ((c, d) for c, d in pairs if lo2 <= whole[c][d] - part[c][d] <= hi2), None
+                ((c, d) for c, d in pairs if lo2 <= whole(c, d) - part(c, d) <= hi2), None
             )
         else:
             pick = pick2 = next(
                 (
                     (c, d)
                     for c, d in pairs
-                    if lo <= part[c][d] <= hi and lo2 <= whole[c][d] - part[c][d] <= hi2
+                    if lo <= part(c, d) <= hi and lo2 <= whole(c, d) - part(c, d) <= hi2
                 ),
                 None,
             )
         if pick2 is None:
             continue
-        (c, d), (c2, d2) = pick, pick2
         branches = (
-            _branch((a, b), t1, pick, part[c][d], strict),
-            _branch((b, a), t0 - t1, pick2, whole[c2][d2] - part[c2][d2], strict),
+            _branch((a, b), t1, pick, part(*pick), strict),
+            _branch((b, a), t0 - t1, pick2, whole(*pick2) - part(*pick2), strict),
         )
         return GpcWitness((a, b), t0, branches, strict)
     return None
@@ -307,10 +308,12 @@ def sort_cost(poset):
         key = None if root or e < 7 else node.canonical_key()
         if key in memo:
             return memo[key]
-        counts = linext.pair_counts(node).counts
-        pairs = sorted(
-            (max(counts[a][b], counts[b][a]), a, b) for a, b in node.incomparable_pairs()
-        )
+        matrix = linext.pair_counts(node)
+        pairs = []
+        for a, b in node.incomparable_pairs():
+            before = matrix.before(a, b)
+            pairs.append((max(before, e - before), a, b))
+        pairs.sort()
         if pairs[0][0] <= 3:
             return pairs[0][0]
         if key is None and not root:
@@ -322,7 +325,7 @@ def sort_cost(poset):
         for t, a, b in pairs:
             if 1 + (t - 1).bit_length() >= best:
                 break
-            big, small = ((a, b), (b, a)) if counts[a][b] == t else ((b, a), (a, b))
+            big, small = ((a, b), (b, a)) if matrix.before(a, b) == t else ((b, a), (a, b))
             worst = 1 + outcome(node, *big, t)
             if worst < best:
                 best = min(best, max(worst, 1 + outcome(node, *small, e - t)))

@@ -21,10 +21,23 @@ def poset_classes(max_n):
     children are deduplicated by canonical key (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26, 1998; Brinkmann & McKay,
     "Posets on up to 16 points", Order 19, 2002).  A class of size n has
-    n!/|Aut| labelings.  What callers cache on the posets does not pile
-    up: the pair-count matrices kept on a level are dropped before its
-    children are built, and the last level is dropped class by class as it
-    is handed over.
+    n!/|Aut| labelings.
+
+    One child is built per orbit of down-sets under the swaps of twins
+    (``Poset.twin_classes``): a down-set that holds a later twin of a class
+    but not an earlier one is skipped.  Swapping twins s < t is an
+    automorphism, so the child of such a down-set D is isomorphic to the
+    child of D - t + s.  That down-set comes first in lattice order, by
+    induction over the levels: if D is first reached by adding t to E,
+    then E + s is reached earlier, from the same E; if by adding some other
+    x, then E - t + s comes before E, and adds x to reach D - t + s.
+    Hence a skipped child is never the first of its class, and the
+    representatives, their order and their automorphism counts are those
+    of the unskipped build.
+
+    What callers cache on the posets does not pile up: the pair-count
+    matrices kept on a level are dropped before its children are built,
+    and the last level is dropped class by class as it is handed over.
     """
     level = [(Poset.antichain(1), 1)] if max_n >= 1 else []
     for n in range(1, max_n):
@@ -36,13 +49,22 @@ def poset_classes(max_n):
             # The class has been handed over: drop the pair-count matrices
             # kept on it, which nothing here reads.
             small._pair_counts = None
+            # (later twin, the twin just before it) of every twin class
+            twins = [
+                (1 << later, 1 << earlier)
+                for members in small.twin_classes()
+                for earlier, later in zip(members, members[1:])
+            ]
             for down in _lattice(small)[0]:
+                if twins and any(down & later and not down & earlier for later, earlier in twins):
+                    continue  # a swap of twins gives an earlier down-set
                 rows = [
                     row | top if down >> a & 1 else row
                     for a, row in enumerate(small.lt)
                 ]
                 rows.append(0)
-                child = Poset(n + 1, rows, _trusted=True)
+                # The new point is maximal: the old down-sets stay as they are.
+                child = Poset(n + 1, rows, _trusted=True, _gt=small._gt + (down,))
                 key, automorphisms = child.canonical_form()
                 if key not in seen:
                     seen.add(key)

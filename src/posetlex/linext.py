@@ -23,15 +23,18 @@ vector for one outcome.  Pair probabilities come from a single pass: the
 forward pass counts down(I) = e(P|I), a backward pass up(I) = e(P|rest),
 and #(y before x) is the sum of down(I)*up(I+x) over the ideals I that x
 extends and y lies in; the sums for every y are carried in one integer per
-x, a field per y.  The matrices of P and of the outcomes ``check_gpc``
-reads are kept on the Poset too (``_kept_matrix``).  All probabilities
-are `fractions.Fraction`; floats never enter a comparison.
+x, a field per y.  A ``PairCountMatrix`` keeps those packed columns as they
+are: ``check_gpc``, ``delta``, ``balanced_pair`` and ``sort_cost`` read
+single fields in place (``before``), and the unpacked ``counts`` are built
+only when read.  The matrices of P and of the outcomes ``check_gpc`` reads
+are kept on the Poset too (``_kept_matrix``).  All probabilities are
+`fractions.Fraction`; floats never enter a comparison.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -82,23 +85,29 @@ class LinearExtension:
 
 @dataclass(frozen=True)
 class PairCountMatrix:
-    """counts[x][y] = number of extensions placing x before y; total = e(P)."""
+    """The number of extensions placing x before y, for every pair; total = e(P).
 
-    counts: tuple
+    Kept packed as ``_matrix`` builds it: ``columns[y]`` holds
+    #(x before y) in field x, ``width`` bits wide.  ``before`` reads one
+    field in place; ``counts`` unpacks the whole matrix on first read,
+    ``counts[x][y]`` = #(x before y).
+    """
+
+    columns: tuple
+    width: int
     total: int
 
-    def __sub__(self, part):
-        """The matrix of P + b<a, from this one of P and ``part`` of P + a<b.
+    def before(self, x, y):
+        """#(x before y): field x of column y."""
+        return self.columns[y] >> self.width * x & (1 << self.width) - 1
 
-        Every extension of P puts a before b or b before a, so each count
-        of P, e(P) included, is the sum of the two outcomes' counts.
-        """
-        return PairCountMatrix(
-            tuple(
-                tuple(map(operator.sub, row, part_row))
-                for row, part_row in zip(self.counts, part.counts)
-            ),
-            self.total - part.total,
+    @functools.cached_property
+    def counts(self):
+        """The tuple of rows, ``counts[x][y]`` = #(x before y)."""
+        width, field = self.width, (1 << self.width) - 1
+        return tuple(
+            tuple(column >> width * x & field for column in self.columns)
+            for x in range(len(self.columns))
         )
 
 
@@ -294,7 +303,7 @@ def _counts(poset, givens):
 
 
 def _matrix(poset, given=()):
-    """The PairCountMatrix of P + given, from P's lattice.
+    """The PairCountMatrix of P + given, from P's lattice, left packed.
 
     The forward pass ``_down(P, [given])``, with its one field, gives
     down(I) = e(Q|I) for every ideal I of Q = P + given; a backward pass,
@@ -309,7 +318,9 @@ def _matrix(poset, given=()):
     spread, the integer with a 1 in the field of each y in I.  The reversed
     loop meets an ideal's steps after all of its successors', so I's
     spread is I + x's less x's field, taken at I's last step.  No count
-    exceeds e(Q), so fields as wide as e(Q) never carry into each other.
+    exceeds e(Q), so fields as wide as e(Q) never carry into each other,
+    and the columns are returned as they are, packed: callers read single
+    fields in place (``PairCountMatrix.before``).
     """
     ideals, sources, targets, elements = _lattice(poset)
     n = poset.n
@@ -333,9 +344,7 @@ def _matrix(poset, given=()):
         if tail and ways:
             up[i] += tail
             columns[x] += tail * weighted
-    field = (1 << width) - 1
-    before = ([column >> width * y & field for y in range(n)] for column in columns)
-    return PairCountMatrix(tuple(zip(*before)), total)
+    return PairCountMatrix(tuple(columns), width, total)
 
 
 def _kept_matrix(poset, given=()):
@@ -363,7 +372,14 @@ def pair_counts(poset):
 
 
 def prob(poset, x, y):
-    """P(x before y) over uniformly random linear extensions, exactly."""
+    """P(x before y) over uniformly random linear extensions, exactly.
+
+    x and y must be two distinct points of P, in 0..n-1; ValueError
+    otherwise.
+    """
+    outside = [v for v in (x, y) if not 0 <= v < poset.n]
+    if outside:
+        raise ValueError(f"prob needs points in 0..{poset.n - 1}, got {outside}")
     if x == y:
         raise ValueError("prob needs two distinct elements")
     if poset.is_lt(x, y):
@@ -384,11 +400,11 @@ def delta(poset):
     if poset.is_chain():
         raise ChainError("delta is undefined on chains")
     matrix = pair_counts(poset)
-    counts = matrix.counts
     best = -1
     best_pair = None
     for x, y in poset.incomparable_pairs():
-        value = min(counts[x][y], counts[y][x])
+        before = matrix.before(x, y)
+        value = min(before, matrix.total - before)
         if value > best:
             best, best_pair = value, (x, y)
     return Fraction(best, matrix.total), best_pair
@@ -411,7 +427,7 @@ def balanced_pair(poset):
     matrix = pair_counts(poset)
     total = matrix.total
     for x, y in poset.incomparable_pairs():
-        before = matrix.counts[x][y]
+        before = matrix.before(x, y)
         if _balanced(before, total):
             return (x, y), Fraction(before, total)
     return None

@@ -9,9 +9,10 @@ share, hash and use as dictionary keys.  Two derived values are cached on
 the instance, and equality and hashing ignore both: ``linext._lattice``
 keeps P's lattice of ideals in ``_lattice`` (structure only, never a
 count), and ``linext._kept_matrix`` keeps in ``_pair_counts`` a dict from
-``given``, a tuple of comparisons, to the pair-count matrix of P + given:
-``()`` for P's own, which ``pair_counts`` reads, and one entry per outcome
-P + a<b that ``check_gpc`` reads.  A poset derived from another, such as
+``given``, a tuple of comparisons, to the pair-count matrix of P + given,
+its counts packed in one integer column per point: ``()`` for P's own,
+which ``pair_counts`` reads, and one entry per outcome P + a<b that
+``check_gpc`` reads.  A poset derived from another, such as
 an outcome of ``with_relation``, starts with neither.
 
 ``Poset.canonical_form`` gives every poset up to ``MAX_ELEMENTS`` points a

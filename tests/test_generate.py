@@ -1,11 +1,12 @@
 """Isomorph-free generation against the labeled oracle, and the sweep built on it."""
 
+import hashlib
 import math
 from collections import Counter
 
 import pytest
 
-from posetlex import GpcWitness, SizeCapError, ZeroSizeError, conjectures, linext, sweep
+from posetlex import GpcWitness, Poset, SizeCapError, ZeroSizeError, conjectures, linext, sweep
 from posetlex.generate import poset_classes
 
 from conftest import labeled_posets
@@ -15,6 +16,10 @@ LABELED = (1, 3, 19, 219, 4231, 130023)
 
 #: Isomorphism classes of posets on n = 1..7 points (OEIS A000112).
 CLASSES = (1, 2, 5, 16, 63, 318, 2045)
+
+#: sha256 of repr((p.n, p.lt, |Aut(p)|)) over ``poset_classes(7)``, in
+#: yield order, as the build with one child per down-set gave it.
+CLASSES_7_SHA256 = "22c378bf86e468e3f539e080be7d221f31e5415444fd001e5004437e435b4308"
 
 
 def _classes_of_size(n):
@@ -45,6 +50,30 @@ def test_no_classes_below_one_point(max_n):
 def test_class_counts():
     sizes = Counter(p.n for p, _ in poset_classes(len(CLASSES)))
     assert tuple(sizes[n] for n in range(1, len(CLASSES) + 1)) == CLASSES
+
+
+def test_classes_are_byte_stable():
+    """Skipping the children that a swap of twins repeats leaves every
+    representative, its labeling, its place and its |Aut| as they were."""
+    digest = hashlib.sha256()
+    for p, automorphisms in poset_classes(7):
+        digest.update(repr((p.n, p.lt, automorphisms)).encode())
+    assert digest.hexdigest() == CLASSES_7_SHA256
+
+
+def test_one_child_per_twin_orbit(monkeypatch):
+    """Building every down-set's child took 172 canonical forms on at most
+    5 points; one child per orbit of twin swaps takes 134."""
+    calls = []
+    canonical_form = Poset.canonical_form
+
+    def counted(poset):
+        calls.append(poset)
+        return canonical_form(poset)
+
+    monkeypatch.setattr(Poset, "canonical_form", counted)
+    assert sum(1 for _ in poset_classes(5)) == sum(CLASSES[:5])
+    assert len(calls) <= 134
 
 
 def test_generation_drops_kept_matrices_of_handed_over_levels():

@@ -1,6 +1,7 @@
 """Counting, enumeration and order probabilities against brute force."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -131,14 +132,48 @@ def test_pair_counts_match_brute_force(poset):
 @settings(max_examples=60, deadline=None)
 @given(posets(7))
 def test_outcome_matrix_is_the_complement(poset):
-    """P's matrix less that of P + a<b is the matrix of P + b<a."""
+    """P's matrix less that of P + a<b, entry by entry, is the matrix of P + b<a."""
     matrix = pair_counts(poset)
     orders = brute_extensions(poset)  # L(P + b<a): the orders with b before a
     for a, b in poset.incomparable_pairs():
-        derived = matrix - pair_counts(poset.with_relation(a, b))
+        part = pair_counts(poset.with_relation(a, b))
         other = [order for order in orders if order.index(b) < order.index(a)]
-        assert derived.total == len(other)
-        assert [list(row) for row in derived.counts] == brute_pair_counts(poset, other)
+        assert matrix.total - part.total == len(other)
+        derived = [
+            [whole - piece for whole, piece in zip(row, part_row)]
+            for row, part_row in zip(matrix.counts, part.counts)
+        ]
+        assert derived == brute_pair_counts(poset, other)
+
+
+def _check_packed(poset):
+    """Each field read in place equals the unpacked entry and the brute count,
+    for P and for every outcome P + a<b on P's lattice."""
+    orders = brute_extensions(poset)
+    outcomes = [((), orders)]
+    for a, b in poset.incomparable_pairs():
+        for x, y in ((a, b), (b, a)):
+            kept = [order for order in orders if order.index(x) < order.index(y)]
+            outcomes.append((((x, y),), kept))
+    for given, kept in outcomes:
+        matrix = linext._kept_matrix(poset, given)
+        assert matrix.total == len(kept)
+        brute = brute_pair_counts(poset, kept)
+        n = poset.n
+        assert [[matrix.before(x, y) for y in range(n)] for x in range(n)] == brute
+        assert [list(row) for row in matrix.counts] == brute
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(7))
+def test_packed_fields_match_brute_force(poset):
+    _check_packed(poset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(twin_heavy_posets(7))
+def test_packed_fields_match_brute_force_with_twins(poset):
+    _check_packed(poset)
 
 
 def test_pair_counts_on_wide_antichain():
@@ -194,6 +229,15 @@ def test_prob_values(point_and_chain):
     assert prob(point_and_chain, 0, 2) == Fraction(2, 3)
     with pytest.raises(ValueError):
         prob(point_and_chain, 1, 1)
+
+
+@pytest.mark.parametrize("x, y, outside", [(-1, 2, [-1]), (0, 3, [3]), (5, -2, [5, -2])])
+def test_prob_rejects_points_outside_the_poset(x, y, outside):
+    """A point outside 0..n-1 is named in a ValueError, before any shift or
+    index could fail on it."""
+    poset = Poset.from_relations(3, [(0, 1)])
+    with pytest.raises(ValueError, match=re.escape(f"in 0..2, got {outside}")):
+        prob(poset, x, y)
 
 
 def test_prob_complement(n_poset):
