@@ -310,7 +310,7 @@ class GapProfile:
         return sum(multiset_coefficient(k + 1, m) for k in self.classes.values())
 
 
-def gap_profile(poset, point, cap=linext.DEFAULT_ENUM_CAP):
+def gap_profile(poset, point):
     """Classify L(P) by the free gap of ``point`` between its neighbors.
 
     An extension's class is its reduced order, the other elements by
@@ -319,9 +319,12 @@ def gap_profile(poset, point, cap=linext.DEFAULT_ENUM_CAP):
     of the point's last strict predecessor (0 when none) and b that of its
     first strict successor (n when none); the k = b - c - 1 elements
     between are incomparable to it, and the class holds one extension per
-    slot, k + 1.  The classes must cover e(P), counted on its own.
+    slot, k + 1.  The classes must cover e(P), counted on its own.  A point
+    outside 0..n-1 is a ValueError, raised before any count; the pass is
+    capped at ``linext.DEFAULT_ENUM_CAP`` extensions (CapExceededError).
     """
-    total = linext._check_cap(poset, cap)
+    linext._check_points("gap_profile", poset, point)
+    total = linext._check_cap(poset, linext.DEFAULT_ENUM_CAP)
     below = tuple(_bits(poset.below_mask(point)))
     above = tuple(_bits(poset.above_mask(point)))
     sizes = {}
@@ -342,15 +345,21 @@ def gap_profile(poset, point, cap=linext.DEFAULT_ENUM_CAP):
     return profile
 
 
-def chain_substitution_probability(poset, point, m, x, y, cap=linext.DEFAULT_ENUM_CAP):
+def chain_substitution_probability(poset, point, m, x, y):
     """Exact P(x < y) in P o_point <m>, from the gap profile of P alone.
 
     Sums multiset coefficients over the classes split by the orientation
-    of (x, y): sum c_k * C(k+m, m) / sum (c_k + d_k) * C(k+m, m).
+    of (x, y): sum c_k * C(k+m, m) / sum (c_k + d_k) * C(k+m, m).  A
+    point, x or y outside 0..n-1, m < 1, x = y, or x or y equal to
+    ``point`` is a ValueError, raised before any count; the profile is
+    capped at ``linext.DEFAULT_ENUM_CAP`` extensions.
     """
+    linext._check_points("chain_substitution_probability", poset, point, x, y)
+    if m < 1:
+        raise ValueError(f"chain_substitution_probability needs m >= 1, got {m}")
     if x == point or y == point or x == y:
         raise ValueError("monitored pair must avoid the substituted point")
-    profile = gap_profile(poset, point, cap)
+    profile = gap_profile(poset, point)
     num = 0
     den = 0
     for reduced, k in profile.classes.items():

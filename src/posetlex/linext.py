@@ -160,6 +160,13 @@ def _check_cap(poset, cap):
     return total
 
 
+def _check_points(name, poset, *points):
+    """ValueError naming every one of ``points`` outside 0..n-1."""
+    outside = [v for v in points if not 0 <= v < poset.n]
+    if outside:
+        raise ValueError(f"{name} needs points in 0..{poset.n - 1}, got {outside}")
+
+
 def _unpack(packed, n, head=0):
     """The LinearExtension of each ``head + f``, f packed by ``_descend``."""
     return [LinearExtension(tuple((head + f).to_bytes(n, "little"))) for f in packed]
@@ -377,9 +384,7 @@ def prob(poset, x, y):
     x and y must be two distinct points of P, in 0..n-1; ValueError
     otherwise.
     """
-    outside = [v for v in (x, y) if not 0 <= v < poset.n]
-    if outside:
-        raise ValueError(f"prob needs points in 0..{poset.n - 1}, got {outside}")
+    _check_points("prob", poset, x, y)
     if x == y:
         raise ValueError("prob needs two distinct elements")
     if poset.is_lt(x, y):

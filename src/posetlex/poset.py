@@ -60,7 +60,7 @@ def _close(n, rows):
 class Poset:
     """An immutable strict partial order on ``0..n-1``."""
 
-    __slots__ = ("n", "lt", "_hash", "_gt", "_lattice", "_pair_counts")
+    __slots__ = ("n", "lt", "_gt", "_lattice", "_pair_counts")
 
     def __init__(self, n, lt, _trusted=False, _gt=None):
         """``_gt``, when given, is the transpose of ``lt``, already known."""
@@ -70,7 +70,6 @@ class Poset:
             _validate(n, lt)
         self.n = n
         self.lt = lt
-        self._hash = hash((n, lt))
         if _gt is None:
             _gt = [0] * n
             for a in range(n):
@@ -218,31 +217,20 @@ class Poset:
     def relabel(self, perm):
         """Image under the bijection old -> perm[old]."""
         rows = [0] * self.n
-        for a in range(self.n):
-            row = self.lt[a]
-            new = 0
-            while row:
-                low = row & -row
-                new |= 1 << perm[low.bit_length() - 1]
-                row ^= low
-            rows[perm[a]] = new
+        for a, row in enumerate(self.lt):
+            rows[perm[a]] = _image(row, perm)
         return Poset(self.n, rows, _trusted=True)
 
     # -- covers and output ------------------------------------------------
 
     def covers(self):
         """Immediate-successor pairs (a, b): a < b with nothing in between."""
-        out = []
-        for a in range(self.n):
-            row = self.lt[a]
-            m = row
-            while m:
-                low = m & -m
-                b = low.bit_length() - 1
-                m ^= low
-                if not (row & self._gt[b]):
-                    out.append((a, b))
-        return out
+        return [
+            (a, b)
+            for a, row in enumerate(self.lt)
+            for b in _bits(row)
+            if not row & self._gt[b]
+        ]
 
     def to_dot(self, labels=None):
         """DOT digraph whose edges are exactly the cover relation."""
@@ -326,9 +314,10 @@ class Poset:
         |Aut(P)| = prod(t!) * |Aut(coloured quotient)|.  The quotient is
         canonized by individualization-refinement with automorphism pruning
         (McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
-        Comput. 60, 2014); see ``_canonical_order``.  Its canonical order,
-        with the twins of each class in index order, relabels P, and the
-        key is the relation encoding of that relabeling, so two posets
+        Comput. 60, 2014); see ``_canonical_code``.  The key is the
+        quotient's canonical relation code with the sorted class sizes: the
+        canonical order lists the quotient's points by ascending colour, so
+        the sizes give each canonical point its colour, and two posets
         share a key exactly when they are isomorphic.
         """
         n = self.n
@@ -343,19 +332,10 @@ class Poset:
                     index[v] = i
             down = [_image(self._gt[members[0]], index) for members in classes]
             up = [_image(self.lt[members[0]], index) for members in classes]
-        order, automorphisms = _canonical_order(down, up, sizes)
+        code, automorphisms = _canonical_code(down, up, sizes)
         for size in sizes:
             automorphisms *= math.factorial(size)
-        pos = [0] * n
-        new = 0
-        for i in order:
-            for v in classes[i]:
-                pos[v] = new
-                new += 1
-        code = 0
-        for old, row in enumerate(self.lt):
-            code |= _image(row, pos) << pos[old] * n
-        return (n, code), automorphisms
+        return (n, (code, tuple(sorted(sizes)))), automorphisms
 
     def canonical_key(self):
         """A value equal across posets exactly when they are isomorphic.
@@ -373,7 +353,7 @@ class Poset:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.lt))
 
     def __repr__(self):
         return f"Poset({self.n}, {self.relation_pairs()!r})"
@@ -446,15 +426,17 @@ def _orbit(v, generators):
     return orbit
 
 
-def _canonical_order(down, up, colours):
-    """A canonical order of a coloured poset, and its number of automorphisms.
+def _canonical_code(down, up, colours):
+    """The canonical relation code of a coloured poset, and |Aut|.
 
     ``down`` and ``up`` are the strict down- and up-set bitmasks of points
     0..m-1.  The root of the search tree is the equitable refinement of the
     points grouped by ascending colour.  A node individualizes each point of
     its first cell of two or more points in turn and refines again; the
-    leaves are the discrete partitions, each an order of the points, and
-    the one whose relation code is least is canonical.  Two leaves with
+    leaves are the discrete partitions, each an order of the points listed
+    by ascending colour, since every split keeps its cell's place.  A
+    leaf's relation code chains the up-sets of its points in its order,
+    each in leaf positions, and the least one is returned.  Two leaves with
     equal codes give an automorphism; the search then backs up to where
     their paths part, and a node skips each child that a known automorphism
     fixing the node's path maps to a child already explored.  The
@@ -463,15 +445,6 @@ def _canonical_order(down, up, colours):
     of v_i under them.
     """
     m = len(down)
-    groups = {}
-    for v, colour in enumerate(colours):
-        groups[colour] = groups.get(colour, 0) | 1 << v
-    cells = [groups[colour] for colour in sorted(groups)]
-    cells = _refine(cells, list(cells), down, up)
-    if len(cells) == m:
-        return [cell.bit_length() - 1 for cell in cells], 1
-    generators = []
-    first = best = None  # (code, path, order) of the first and the least leaf
 
     def code_of(order):
         pos = [0] * m
@@ -481,6 +454,16 @@ def _canonical_order(down, up, colours):
         for v in order:
             code = code << m | _image(up[v], pos)
         return code
+
+    groups = {}
+    for v, colour in enumerate(colours):
+        groups[colour] = groups.get(colour, 0) | 1 << v
+    cells = [groups[colour] for colour in sorted(groups)]
+    cells = _refine(cells, list(cells), down, up)
+    if len(cells) == m:
+        return code_of([cell.bit_length() - 1 for cell in cells]), 1
+    generators = []
+    first = best = None  # (code, path, order) of the first and the least leaf
 
     def visit(cells, path):
         """Search below one node; return the depth to resume at."""
@@ -528,7 +511,7 @@ def _canonical_order(down, up, colours):
     for i, v in enumerate(path):
         fixing = [g for g in generators if all(g[u] == u for u in path[:i])]
         automorphisms *= _orbit(v, fixing).bit_count()
-    return best[2], automorphisms
+    return best[0], automorphisms
 
 
 def _validate(n, lt):

@@ -471,6 +471,25 @@ def test_chain_substitution_rejects_the_point():
         chain_substitution_probability(p, 2, 2, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: gap_profile(Poset.chain(3), -1), "got [-1]"),
+        (lambda: gap_profile(Poset.from_permutation([1, 5, 3, 2, 4]), -1), "got [-1]"),
+        (lambda: gap_profile(Poset.from_permutation([1, 5, 3, 2, 4]), 5), "got [5]"),
+        (lambda: chain_substitution_probability(Poset.chain(3), 3, 2, 0, 1), "got [3]"),
+        (lambda: chain_substitution_probability(Poset.chain(3), 0, 2, 7, -1), "got [7, -1]"),
+        (lambda: chain_substitution_probability(Poset.chain(3), 0, 0, 1, 2), "got 0"),
+    ],
+    ids=["chain-point-minus-1", "point-minus-1", "point-5", "point-3", "x-7-y-minus-1", "m-0"],
+)
+def test_gap_profile_rejects_bad_input(call, named):
+    """A point, x or y outside 0..n-1, or m < 1, is a ValueError that names
+    the bad value, raised before L(P) is counted or enumerated."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
+
+
 def test_composition_search_resolution():
     # substituting a 2-chain at the third point of (1,5,3,2,4) produces
     # the 6-element example with balance value 7/15
