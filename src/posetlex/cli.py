@@ -193,10 +193,19 @@ def _cmd_compose_at(args, _):
 def _cmd_verify_locality(args, _):
     with open(args.spec, encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("base"), str)
+        and isinstance(doc.get("component"), str)
+        and type(doc.get("index")) is int
+    ):
+        raise ValueError(
+            f"{args.spec}: a spec is a JSON object with string base and component "
+            "and an integer index"
+        )
     base = files.load(doc["base"])
     component = files.load(doc["component"])
-    index = int(doc["index"])
-    table = lexsum_mod.locality_table(base, index, component, args.cap)
+    table = lexsum_mod.locality_table(base, doc["index"], component, args.cap)
     payload = {
         "columns": len(table.columns),
         "k": table.k,

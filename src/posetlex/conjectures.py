@@ -96,18 +96,6 @@ def _stays_incomparable(poset, x, y, c, d):
     return not (low >> c & 1 and high >> d & 1 or low >> d & 1 and high >> c & 1)
 
 
-def _least_t2(t1, strict):
-    """A lower bound on t2 over every second comparison in a t1 outcome.
-
-    A second pair splits the t1 extensions into two nonempty counts, so the
-    larger is at least ceil(t1/2).  A chain outcome (t1 = 1) has only the
-    vacuous count: 1, or 0 under the strict reading.
-    """
-    if t1 == 1:
-        return 0 if strict else 1
-    return (t1 + 1) // 2
-
-
 def _window(t0, t1, strict):
     """(lo, hi): the counts of a second pair that pass in a t1 outcome.
 
@@ -115,11 +103,14 @@ def _window(t0, t1, strict):
     when lo <= before <= hi.  It leaves t2 = max(before, t1 - before), so
     with room = t0 - t1 (less one when strict) the inequality reads
     t1 - room <= before <= room; 0 < before < t1 keeps the pair
-    incomparable in the outcome.  A chain outcome (t1 = 1) takes the
-    vacuous t2: it accepts every pair (count 0 or 1) if that t2 passes.
+    incomparable in the outcome.  For t1 >= 2 the window is empty
+    (lo > hi) exactly when room < ceil(t1/2), the least t2 any second pair
+    can leave.  A chain outcome (t1 = 1) takes the vacuous t2, 1 (0 when
+    strict), which passes for every non-chain P (t0 >= 2): it accepts
+    every pair.
     """
     if t1 == 1:
-        return (0, 1) if _partition_ok(t0, 1, _least_t2(1, strict), strict) else (1, 0)
+        return 0, 1
     room = t0 - t1 - strict
     return max(1, t1 - room), min(t1 - 1, room)
 
@@ -127,7 +118,7 @@ def _window(t0, t1, strict):
 def _branch(result, t1, second, before, strict):
     """The GpcBranch for ``second``, which the outcome orders in ``before``."""
     if t1 == 1:
-        return GpcBranch(result, 1, None, _least_t2(1, strict))
+        return GpcBranch(result, 1, None, 0 if strict else 1)
     return GpcBranch(result, t1, second, max(before, t1 - before))
 
 
@@ -140,18 +131,19 @@ def check_gpc(poset, mode="adaptive", strict=False):
     mode a single second pair, the first in ascending order, must be
     incomparable in, and work for, every non-chain outcome.  Every t-value
     is read off the pair-count matrices of P and of P + a<b, both computed
-    on P's lattice of ideals.  A first pair one of whose outcomes has
-    t0 < t1 + ceil(t1/2) cannot pass, since every second pair leaves
-    t2 >= ceil(t1/2), so it is skipped without a pass over that outcome.
-    Otherwise the matrix of P + a<b is read, and each count of P + b<a is
-    P's count less that one.  One scan of P's incomparable pairs, in
-    ascending order, stops at the first pair whose count lies inside the
-    outcome's window (``_window``; inside both, in nonadaptive mode): a
-    pair P orders counts 0 or t1, outside every window.  Each count is one
+    on P's lattice of ideals.  Both outcomes' windows (``_window``) come
+    from t1 = e(P + a<b), P's own count for the pair, before any pass over
+    an outcome: a first pair one of whose windows is empty cannot pass, so
+    it is skipped.  Otherwise the matrix of P + a<b is read, and each count
+    of P + b<a is P's count less that one.  One scan of P's incomparable
+    pairs, in ascending order, stops at the first pair whose count lies
+    inside the outcome's window (inside both, in nonadaptive mode): a pair
+    P orders counts 0 or t1, outside every window.  Each count is one
     field read in place from a matrix's packed columns
-    (``PairCountMatrix.before``), so a scan that stops early reads few.  The matrices of P and of each P + a<b are kept
-    on the poset (``linext._kept_matrix``), so both modes, and every later
-    call, share one pass for each.
+    (``PairCountMatrix.before``), so a scan that stops early reads few.
+    The matrices of P and of each P + a<b are kept on the poset
+    (``linext._kept_matrix``), so both modes, and every later call, share
+    one pass for each.
     """
     if mode not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -161,13 +153,11 @@ def check_gpc(poset, mode="adaptive", strict=False):
     whole, t0 = matrix.before, matrix.total
     pairs = poset.incomparable_pairs()
     for a, b in pairs:
-        # t1 + _least_t2(t1) grows with t1, so the larger outcome decides.
-        t1 = max(whole(a, b), t0 - whole(a, b))
-        if not _partition_ok(t0, t1, _least_t2(t1, strict), strict):
-            continue  # no second pair can satisfy the inequality
-        kept = linext._kept_matrix(poset, ((a, b),))
-        part, t1 = kept.before, kept.total
+        t1 = whole(a, b)
         (lo, hi), (lo2, hi2) = _window(t0, t1, strict), _window(t0, t0 - t1, strict)
+        if lo > hi or lo2 > hi2:
+            continue  # no second pair can satisfy the inequality
+        part = linext._kept_matrix(poset, ((a, b),)).before
         if mode == "adaptive":
             pick = next(((c, d) for c, d in pairs if lo <= part(c, d) <= hi), None)
             if pick is None:
@@ -262,7 +252,7 @@ def verify_gpc_witness(poset, witness):
         if t2 is not None:
             ok = t2 == branch.t2
         elif t1 == 1:
-            ok = branch.t2 == _least_t2(1, witness.strict)
+            ok = branch.t2 == (0 if witness.strict else 1)
         else:
             # max(before, t1 - before) <= t2 for one of the outcome's pairs
             ok = any(

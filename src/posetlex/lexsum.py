@@ -51,40 +51,37 @@ class LexSumSpec:
 
 
 def lex_sum(base, components):
-    """The lexicographic sum of ``base`` with one component per point."""
+    """The lexicographic sum of ``base`` with one component per point.
+
+    Each row of component i is Q_i's row shifted into i's block of
+    elements, with the blocks of every point above i in the base."""
     components = tuple(components)
     if len(components) != base.n:
         raise ArityMismatchError(
             f"{base.n} base points but {len(components)} components"
         )
-    offsets = []
-    total = 0
+    blocks, total = [], 0
     for q in components:
-        offsets.append(total)
+        blocks.append(((1 << q.n) - 1) << total)
         total += q.n
-    embed = tuple(
-        tuple(range(offsets[i], offsets[i] + components[i].n))
-        for i in range(base.n)
-    )
-    rows = [0] * total
-    for i, q in enumerate(components):
-        off = offsets[i]
-        for a in range(q.n):
-            rows[off + a] |= q.lt[a] << off
-        for j in range(base.n):
-            if base.is_lt(i, j):
-                block = ((1 << components[j].n) - 1) << offsets[j]
-                for a in range(q.n):
-                    rows[off + a] |= block
+    embed = tuple(tuple(_bits(block)) for block in blocks)
+    rows = []
+    for q, members, up in zip(components, embed, base.lt):
+        above = 0
+        for j in _bits(up):
+            above |= blocks[j]
+        rows += [row << members[0] | above for row in q.lt]
     poset = Poset(total, rows, _trusted=True)
     trivial = base.n == 1 or all(q.n == 1 for q in components)
     return LexSumSpec(base, components, embed, poset, trivial)
 
 
 def compose_at(base, i, component):
-    """Substitute ``component`` at point i only (all other points stay)."""
-    if not 0 <= i < base.n:
-        raise IndexError(f"point {i} outside the base poset")
+    """Substitute ``component`` at point i only (all other points stay).
+
+    An i outside 0..n-1 is a ValueError.
+    """
+    linext._check_points("compose_at", base, i)
     one = Poset.antichain(1)
     return lex_sum(base, [component if j == i else one for j in range(base.n)])
 
@@ -306,7 +303,9 @@ class GapProfile:
         return sum(k + 1 for k in self.classes.values())
 
     def substituted_count(self, m):
-        """Predicted e(P o_point <m>) from the class sizes alone."""
+        """Predicted e(P o_point <m>) from the class sizes alone; m >= 1."""
+        if m < 1:
+            raise ValueError(f"substituted_count needs m >= 1, got {m}")
         return sum(multiset_coefficient(k + 1, m) for k in self.classes.values())
 
 

@@ -70,11 +70,22 @@ def test_strict_reading_fails_on_three_extensions(point_and_chain):
 
 
 def test_window_is_the_inequality():
-    """A count passes the window exactly when its pair works as a second."""
+    """A count passes the window exactly when its pair works as a second.
+
+    A chain outcome accepts every pair, since the vacuous t2 passes for
+    every non-chain (t0 >= 2).  Otherwise the window is empty exactly when
+    t0 < t1 + ceil(t1/2) (+1 when strict), the least t2 any second pair
+    leaves, so ``check_gpc`` skips just the first pairs that bound rules out.
+    """
+    for t0 in range(2, 41):
+        for strict in (False, True):
+            assert conjectures._window(t0, 1, strict) == (0, 1), (t0, strict)
     for t0 in range(3, 41):
         for t1 in range(2, t0):
             for strict in (False, True):
                 lo, hi = conjectures._window(t0, t1, strict)
+                bound_ok = conjectures._partition_ok(t0, t1, (t1 + 1) // 2, strict)
+                assert (lo > hi) == (not bound_ok), (t0, t1, strict)
                 for before in range(t1 + 1):
                     t2 = max(before, t1 - before)
                     works = 0 < before < t1 and conjectures._partition_ok(t0, t1, t2, strict)

@@ -275,6 +275,52 @@ def test_cli_verify_locality(tmp_path, capsys):
     assert doc["divisible"] is True
 
 
+_SPEC = {
+    "base": str(POSETS_DIR / "n.poset"),
+    "index": 0,
+    "component": str(POSETS_DIR / "p312.poset"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["compose-at", "n.poset", "9", "p312.poset"], None),
+        (["lift-gpc", "n.poset", "9", "p312.poset"], None),
+        (["verify-locality"], {**_SPEC, "index": 9}),
+        (["verify-locality"], {}),
+        (["verify-locality"], [1]),
+        (["verify-locality"], {**_SPEC, "index": [1]}),
+        (["verify-locality"], {**_SPEC, "index": 1.9}),
+        (["verify-locality"], {**_SPEC, "index": True}),
+        (["verify-locality"], {**_SPEC, "base": None}),
+    ],
+    ids=[
+        "compose-at-index",
+        "lift-gpc-index",
+        "spec-index-outside",
+        "spec-empty",
+        "spec-not-object",
+        "spec-index-list",
+        "spec-index-float",
+        "spec-index-bool",
+        "spec-base-null",
+    ],
+)
+def test_cli_rejects_bad_index_or_spec(tmp_path, capsys, argv, spec):
+    """An index outside the base or a malformed spec is an error, not a traceback."""
+    if spec is None:
+        argv = [argv[0], str(POSETS_DIR / argv[1]), argv[2], str(POSETS_DIR / argv[3])]
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = argv + [str(path)]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def _seeded_locality_spec(tmp_path):
     """A verify-locality spec for one seeded triple, P and Q written out."""
     rng = random.Random(14)

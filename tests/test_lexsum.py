@@ -471,6 +471,10 @@ def test_chain_substitution_rejects_the_point():
         chain_substitution_probability(p, 2, 2, 2, 3)
 
 
+def _gaps_of_point_2():
+    return gap_profile(Poset.from_permutation([1, 5, 3, 2, 4]), 2)
+
+
 @pytest.mark.parametrize(
     "call, named",
     [
@@ -480,12 +484,24 @@ def test_chain_substitution_rejects_the_point():
         (lambda: chain_substitution_probability(Poset.chain(3), 3, 2, 0, 1), "got [3]"),
         (lambda: chain_substitution_probability(Poset.chain(3), 0, 2, 7, -1), "got [7, -1]"),
         (lambda: chain_substitution_probability(Poset.chain(3), 0, 0, 1, 2), "got 0"),
+        (lambda: _gaps_of_point_2().substituted_count(0), "got 0"),
+        (lambda: _gaps_of_point_2().substituted_count(-1), "got -1"),
     ],
-    ids=["chain-point-minus-1", "point-minus-1", "point-5", "point-3", "x-7-y-minus-1", "m-0"],
+    ids=[
+        "chain-point-minus-1",
+        "point-minus-1",
+        "point-5",
+        "point-3",
+        "x-7-y-minus-1",
+        "m-0",
+        "substituted-count-m-0",
+        "substituted-count-m-minus-1",
+    ],
 )
 def test_gap_profile_rejects_bad_input(call, named):
     """A point, x or y outside 0..n-1, or m < 1, is a ValueError that names
-    the bad value, raised before L(P) is counted or enumerated."""
+    the bad value, raised before L(P) is counted or enumerated (for
+    ``substituted_count``, before any coefficient)."""
     with pytest.raises(ValueError, match=re.escape(named)):
         call()
 
