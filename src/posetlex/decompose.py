@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import conjectures, lexsum
+from . import conjectures, lexsum, linext
 from .errors import InvalidWitnessError, SizeCapError
 from .poset import MAX_ELEMENTS, Poset, _bits
 
@@ -27,23 +27,28 @@ def _span(poset, mask, limit=MAX_ELEMENTS):
     Adds every splitter, an outside element that relates to some members
     but not to all, until none is left.  Each splitter lies in every
     autonomous set containing ``mask``, so the result is the smallest one.
-    A set grown past ``limit`` elements is returned as it stands, even in
-    mid-round: its span is at least as large.
+    An outside element lies below some member but not all exactly when it
+    is in the union of the members' down-sets but not in their
+    intersection, and likewise above, so each round's splitters are read
+    off four masks, which take in each round's new members.  A set grown
+    past ``limit`` elements is returned as it stands: its span is at least
+    as large, and only its size is read.
     """
-    while True:
-        grown = mask
-        size = mask.bit_count()
-        for z in _bits(((1 << poset.n) - 1) & ~mask):
-            up = poset.above_mask(z) & mask
-            down = poset.below_mask(z) & mask
-            if up not in (0, mask) or down not in (0, mask):
-                grown |= 1 << z
-                size += 1
-                if size > limit:
-                    return grown
-        if grown == mask:
+    some_up = some_down = 0
+    every_up = every_down = -1  # no members yet: every bit
+    new = mask
+    while new:
+        for v in _bits(new):
+            up, down = poset.above_mask(v), poset.below_mask(v)
+            some_up |= up
+            every_up &= up
+            some_down |= down
+            every_down &= down
+        new = (some_up ^ every_up | some_down ^ every_down) & ~mask
+        mask |= new
+        if mask.bit_count() > limit:
             return mask
-        mask = grown
+    return mask
 
 
 def _size_then_mask(mask):
@@ -74,7 +79,12 @@ def _smallest(poset, nonchain):
 
 
 def is_autonomous(poset, members):
-    """True when every outside element relates uniformly to ``members``."""
+    """True when every outside element relates uniformly to ``members``.
+
+    ``members`` must be points of P, in 0..n-1; ValueError otherwise.
+    """
+    members = list(members)
+    linext._check_points("is_autonomous", poset, *members)
     mask = 0
     for v in members:
         mask |= 1 << v

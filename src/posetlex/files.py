@@ -15,6 +15,14 @@ class FormatError(PosetError):
     """Malformed poset file."""
 
 
+def _int(field, lineno):
+    """The integer ``field``, or FormatError naming line ``lineno``."""
+    try:
+        return int(field)
+    except ValueError:
+        raise FormatError(f"line {lineno}: expected an integer, got {field!r}") from None
+
+
 def loads(text):
     n = None
     pairs = []
@@ -30,17 +38,17 @@ def loads(text):
                 raise FormatError(f"line {lineno}: duplicate n line")
             if len(fields) != 2:
                 raise FormatError(f"line {lineno}: expected 'n <count>'")
-            n = int(fields[1])
+            n = _int(fields[1], lineno)
         elif tag == "rel":
             if perm is not None:
                 raise FormatError(f"line {lineno}: rel after perm")
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'rel a b'")
-            pairs.append((int(fields[1]), int(fields[2])))
+            pairs.append((_int(fields[1], lineno), _int(fields[2], lineno)))
         elif tag == "perm":
             if pairs or perm is not None:
                 raise FormatError(f"line {lineno}: perm mixed with rel")
-            perm = [int(v) for v in fields[1:]]
+            perm = [_int(v, lineno) for v in fields[1:]]
         else:
             raise FormatError(f"line {lineno}: unknown tag {tag!r}")
     if n is None:

@@ -36,8 +36,9 @@ def poset_classes(max_n):
     of the unskipped build.
 
     What callers cache on the posets does not pile up: the pair-count
-    matrices kept on a level are dropped before its children are built,
-    and the last level is dropped class by class as it is handed over.
+    matrices and incomparable pairs kept on a level are dropped before its
+    children are built, and the last level is dropped class by class as it
+    is handed over.
     """
     level = [(Poset.antichain(1), 1)] if max_n >= 1 else []
     for n in range(1, max_n):
@@ -47,8 +48,8 @@ def poset_classes(max_n):
         children = []
         for small, _ in level:
             # The class has been handed over: drop the pair-count matrices
-            # kept on it, which nothing here reads.
-            small._pair_counts = None
+            # and pairs kept on it, which nothing here reads.
+            small._pair_counts = small._pairs = None
             # (later twin, the twin just before it) of every twin class
             twins = [
                 (1 << later, 1 << earlier)

@@ -236,28 +236,33 @@ def _lattice(poset):
     """
     if poset._lattice is not None:
         return poset._lattice
-    grow = [(poset.below_mask(x), poset.below_mask(x) | 1 << x) for x in range(poset.n)]
+    grow = [(x, poset.below_mask(x), poset.below_mask(x) | 1 << x) for x in range(poset.n)]
     ideals = array("I", [0])
     sources = array("I")
     targets = array("I")
     elements = array("B")
+    add_ideal, add_source = ideals.append, sources.append
+    add_target, add_element = targets.append, elements.append
+    index = {}
+    find = index.get
     start = 0
     while start < len(ideals):
-        # One level; the index of the next one is dropped after it, so the
+        # One level; the index of the next one is cleared after it, so the
         # build never holds more than one level's dict.
         stop = len(ideals)
-        index = {}
-        for i, ideal in enumerate(ideals[start:stop], start):
-            for x, (below, mask) in enumerate(grow):
+        for i in range(start, stop):
+            ideal = ideals[i]
+            for x, below, mask in grow:
                 if ideal & mask == below:
                     grown = ideal | mask
-                    j = index.get(grown)
+                    j = find(grown)
                     if j is None:
                         j = index[grown] = len(ideals)
-                        ideals.append(grown)
-                    sources.append(i)
-                    targets.append(j)
-                    elements.append(x)
+                        add_ideal(grown)
+                    add_source(i)
+                    add_target(j)
+                    add_element(x)
+        index.clear()
         start = stop
     poset._lattice = (ideals, sources, targets, elements)
     return poset._lattice

@@ -5,15 +5,17 @@ tables if they need names.  The strict relation is a tuple of integers,
 ``lt[a]`` having bit ``b`` set exactly when ``a < b``.  Every constructor
 returns a relation that is irreflexive, antisymmetric and transitively
 closed, and posets are immutable afterwards, so instances are safe to
-share, hash and use as dictionary keys.  Two derived values are cached on
-the instance, and equality and hashing ignore both: ``linext._lattice``
-keeps P's lattice of ideals in ``_lattice`` (structure only, never a
-count), and ``linext._kept_matrix`` keeps in ``_pair_counts`` a dict from
-``given``, a tuple of comparisons, to the pair-count matrix of P + given,
-its counts packed in one integer column per point: ``()`` for P's own,
-which ``pair_counts`` reads, and one entry per outcome P + a<b that
-``check_gpc`` reads.  A poset derived from another, such as
-an outcome of ``with_relation``, starts with neither.
+share, hash and use as dictionary keys.  Three derived values are cached
+on the instance, and equality and hashing ignore all of them:
+``incomparable_pairs`` keeps P's incomparable pairs in ``_pairs``, which
+``is_chain`` reads too; ``linext._lattice`` keeps P's lattice of ideals
+in ``_lattice`` (structure only, never a count); and
+``linext._kept_matrix`` keeps in ``_pair_counts`` a dict from ``given``,
+a tuple of comparisons, to the pair-count matrix of P + given, its counts
+packed in one integer column per point: ``()`` for P's own, which
+``pair_counts`` reads, and one entry per outcome P + a<b that
+``check_gpc`` reads.  A poset derived from another, such as an outcome of
+``with_relation``, starts with none of them.
 
 ``Poset.canonical_form`` gives every poset up to ``MAX_ELEMENTS`` points a
 key that is equal exactly across isomorphic posets, with |Aut(P)|.  It
@@ -60,7 +62,7 @@ def _close(n, rows):
 class Poset:
     """An immutable strict partial order on ``0..n-1``."""
 
-    __slots__ = ("n", "lt", "_gt", "_lattice", "_pair_counts")
+    __slots__ = ("n", "lt", "_gt", "_pairs", "_lattice", "_pair_counts")
 
     def __init__(self, n, lt, _trusted=False, _gt=None):
         """``_gt``, when given, is the transpose of ``lt``, already known."""
@@ -79,6 +81,7 @@ class Poset:
                     _gt[low.bit_length() - 1] |= 1 << a
                     row ^= low
         self._gt = tuple(_gt)
+        self._pairs = None
         self._lattice = None
         self._pair_counts = None
 
@@ -160,21 +163,32 @@ class Poset:
         ]
 
     def incomparable_pairs(self):
-        """Each unordered incomparable pair once, as (a, b) with a < b."""
-        out = []
-        full = (1 << self.n) - 1
-        lt, gt = self.lt, self._gt
-        for a in range(self.n - 1):
-            m = full >> a + 1 << a + 1 & ~(lt[a] | gt[a])
-            while m:
-                low = m & -m
-                out.append((a, low.bit_length() - 1))
-                m ^= low
-        return out
+        """Each unordered incomparable pair once, as (a, b) with a < b.
+
+        The pairs come in lexicographic order, computed once and kept on the
+        instance (``_pairs``); every call returns a new list of them.
+        """
+        return list(self._kept_pairs())
 
     def is_chain(self):
-        n = self.n
-        return sum(m.bit_count() for m in self.lt) == n * (n - 1) // 2
+        """Whether P is a total order: it has no incomparable pair."""
+        return not self._kept_pairs()
+
+    def _kept_pairs(self):
+        """The tuple of incomparable pairs, built on the first call."""
+        pairs = self._pairs
+        if pairs is None:
+            out = []
+            full = (1 << self.n) - 1
+            lt, gt = self.lt, self._gt
+            for a in range(self.n - 1):
+                m = full >> a + 1 << a + 1 & ~(lt[a] | gt[a])
+                while m:
+                    low = m & -m
+                    out.append((a, low.bit_length() - 1))
+                    m ^= low
+            pairs = self._pairs = tuple(out)
+        return pairs
 
     def with_relation(self, a, b):
         """Smallest poset extending this one with ``a < b``.

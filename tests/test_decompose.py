@@ -30,6 +30,9 @@ def test_is_autonomous_basic():
     assert is_autonomous(p, (1, 2))
     assert not is_autonomous(p, (0, 1))
     assert is_autonomous(p, (0, 1, 2))
+    for members in [(0, 5), (5,), (-1, 0)]:
+        with pytest.raises(ValueError, match="is_autonomous needs points in 0..2"):
+            is_autonomous(p, members)
 
 
 def test_autonomous_sets_chain():

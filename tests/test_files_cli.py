@@ -38,6 +38,9 @@ def test_loads_errors():
         files.loads("n 2\nwat 1\n")
     with pytest.raises(FormatError):
         files.loads("n 3\nperm 1 2\n")
+    for text in ["n 2\nrel 0 x\n", "n three\n", "n 3\nperm 1 2 z\n", "n 2\nrel 0 1.5\n"]:
+        with pytest.raises(FormatError, match=r"^line \d+: expected an integer"):
+            files.loads(text)
 
 
 def test_dump_load_round_trip(tmp_path, n_poset):
@@ -397,6 +400,15 @@ def test_cli_error_exit_codes(capsys, tmp_path):
     bad.write_text("n 3\nrel 0 1\nrel 1 0\n")
     assert main(["count", str(bad)]) == EXIT_ERROR
     capsys.readouterr()
+
+
+def test_cli_non_integer_field_names_path_and_line(capsys, tmp_path):
+    bad = tmp_path / "bad.poset"
+    bad.write_text("n 2\n# a comment\nrel 0 x\n")
+    assert main(["count", str(bad)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 3: expected an integer, got 'x'\n"
 
 
 def test_cli_reports_are_byte_stable(capsys):

@@ -333,3 +333,24 @@ def test_incomparable_pairs_partition():
     incomparable = set(p.incomparable_pairs())
     assert comparable | incomparable == set(itertools.combinations(range(4), 2))
     assert not comparable & incomparable
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(posets(7), twin_heavy_posets(7)))
+def test_kept_incomparable_pairs_match_definition(p):
+    expected = [
+        (a, b)
+        for a, b in itertools.combinations(range(p.n), 2)
+        if not p.is_lt(a, b) and not p.is_lt(b, a)
+    ]
+    first = p.incomparable_pairs()
+    assert first == expected
+    first.append((0, 0))
+    first.clear()
+    assert p.incomparable_pairs() == expected
+    assert p.incomparable_pairs() is not p.incomparable_pairs()
+    assert p.is_chain() == (len(p.relation_pairs()) == p.n * (p.n - 1) // 2)
+    derived = [p.dual(), p.induced(range(p.n - 1, -1, -1))]
+    if expected:
+        derived.append(p.with_relation(*expected[0]))
+    assert all(q._pairs is None for q in derived)
