@@ -39,12 +39,14 @@ def loads(text):
             if len(fields) != 2:
                 raise FormatError(f"line {lineno}: expected 'n <count>'")
             n = _int(fields[1], lineno)
+            if n < 1:
+                raise FormatError(f"line {lineno}: expected a count of at least 1, got {n}")
         elif tag == "rel":
             if perm is not None:
                 raise FormatError(f"line {lineno}: rel after perm")
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'rel a b'")
-            pairs.append((_int(fields[1], lineno), _int(fields[2], lineno)))
+            pairs.append((_int(fields[1], lineno), _int(fields[2], lineno), lineno))
         elif tag == "perm":
             if pairs or perm is not None:
                 raise FormatError(f"line {lineno}: perm mixed with rel")
@@ -57,7 +59,10 @@ def loads(text):
         if len(perm) != n:
             raise FormatError(f"perm has {len(perm)} values, expected {n}")
         return Poset.from_permutation(perm)
-    return Poset.from_relations(n, pairs)
+    for a, b, lineno in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise FormatError(f"line {lineno}: relation ({a},{b}) out of range for n={n}")
+    return Poset.from_relations(n, [(a, b) for a, b, _ in pairs])
 
 
 def dumps(poset, comment=None):
@@ -75,8 +80,8 @@ def load(path):
     with open(path, encoding="utf-8") as handle:
         try:
             return loads(handle.read())
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+        except PosetError as exc:  # a malformed file, or a cycle in its relations
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 def dump(poset, path, comment=None):

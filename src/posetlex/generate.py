@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from .linext import _lattice
-from .poset import Poset
+from .poset import Poset, _orbit
 
 
 def poset_classes(max_n):
@@ -13,27 +14,42 @@ def poset_classes(max_n):
 
     Nothing is yielded when max_n < 1.
 
-    Classes come level by level, in a fixed order.  Every poset has a
-    maximal point, and removing it leaves a poset on one point fewer, so
-    the classes on n+1 points are reached by putting one new maximal point
-    above each down-set of each class representative on n points (read
-    off the representative's lattice of ideals, level by level); the
-    children are deduplicated by canonical key (McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998; Brinkmann & McKay,
-    "Posets on up to 16 points", Order 19, 2002).  A class of size n has
-    n!/|Aut| labelings.
+    Classes come level by level, in a fixed order, by canonical
+    augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998; Brinkmann & McKay, "Posets on up to 16
+    points", Order 19, 2002).  Every poset C on n+1 points has a maximal
+    point, and removing it leaves a poset on n points, so C is a class
+    representative P on n points plus a new maximal point p above a
+    down-set D of P.  The canonical points of C are fixed by its
+    isomorphism class: of its maximal points, those with the largest
+    down-set; if these are not all twins (``Poset.twin_classes``), only
+    the orbit under Aut(C) of the one whose twin class comes last in C's
+    canonical order.  A child is kept only when p is canonical.  The ties
+    are the maximal points of P outside D whose down-set is as large as
+    D; the child is
+      - rejected before it is built when such a point has a larger
+        down-set than D;
+      - kept with no search when every tie has down-set D, since a tie is
+        then a twin of p;
+      - otherwise kept when one canonical search of C puts p's twin class
+        in the orbit of the tied class that comes last in C's canonical
+        order, under the search's automorphism generators.
 
-    One child is built per orbit of down-sets under the swaps of twins
-    (``Poset.twin_classes``): a down-set that holds a later twin of a class
-    but not an earlier one is skipped.  Swapping twins s < t is an
-    automorphism, so the child of such a down-set D is isomorphic to the
-    child of D - t + s.  That down-set comes first in lattice order, by
-    induction over the levels: if D is first reached by adding t to E,
-    then E + s is reached earlier, from the same E; if by adding some other
-    x, then E - t + s comes before E, and adds x to reach D - t + s.
-    Hence a skipped child is never the first of its class, and the
-    representatives, their order and their automorphism counts are those
-    of the unskipped build.
+    Each class comes exactly once.  Removing a canonical point from C
+    leaves one class P, and the down-sets D of P whose child is C with p
+    canonical form one orbit of Aut(P).  One down-set per orbit is tried.
+    Swapping twins is an automorphism, so a down-set holding a later twin
+    of a class but not an earlier one is skipped.  When |Aut(P)| exceeds
+    the twin group, prod(t!) over its twin classes, the down-sets left are
+    merged further by their count profiles (how many twins of each class
+    they hold), under the generators of one canonical search of P.
+
+    A child kept with no search has, by orbit-stabilizer,
+    |Aut(C)| = |Aut(P)| / |orbit of D| * (1 + ties): p's orbit in C is p
+    and its twins, and the automorphisms fixing p are those of P fixing D.
+    The orbit of D has (the orbit of its profile) * prod(comb(t, k))
+    members, for k twins held of each class of t.  A class on n points
+    has n!/|Aut| labelings.
 
     What callers cache on the posets does not pile up: the pair-count
     matrices and incomparable pairs kept on a level are dropped before its
@@ -41,39 +57,113 @@ def poset_classes(max_n):
     is handed over.
     """
     level = [(Poset.antichain(1), 1)] if max_n >= 1 else []
-    for n in range(1, max_n):
+    for _ in range(1, max_n):
         yield from level
-        top = 1 << n
-        seen = set()
         children = []
-        for small, _ in level:
+        for small, automorphisms in level:
             # The class has been handed over: drop the pair-count matrices
             # and pairs kept on it, which nothing here reads.
             small._pair_counts = small._pairs = None
-            # (later twin, the twin just before it) of every twin class
-            twins = [
-                (1 << later, 1 << earlier)
-                for members in small.twin_classes()
-                for earlier, later in zip(members, members[1:])
-            ]
-            for down in _lattice(small)[0]:
-                if twins and any(down & later and not down & earlier for later, earlier in twins):
-                    continue  # a swap of twins gives an earlier down-set
-                rows = [
-                    row | top if down >> a & 1 else row
-                    for a, row in enumerate(small.lt)
-                ]
-                rows.append(0)
-                # The new point is maximal: the old down-sets stay as they are.
-                child = Poset(n + 1, rows, _trusted=True, _gt=small._gt + (down,))
-                key, automorphisms = child.canonical_form()
-                if key not in seen:
-                    seen.add(key)
-                    children.append((child, automorphisms))
+            children += _children(small, automorphisms)
         level = children
     level.reverse()
     while level:
         yield level.pop()
+
+
+def _children(small, automorphisms):
+    """(child, |Aut(child)|) for each child of a class whose new point is canonical."""
+    n = small.n
+    top = 1 << n
+    lt, gt = small.lt, small._gt
+    classes = small.twin_classes()
+    # (later twin, the twin just before it) of every twin class
+    twins = [
+        (1 << later, 1 << earlier)
+        for members in classes
+        for earlier, later in zip(members, members[1:])
+    ]
+    laters = sum(later for later, _ in twins)
+    # (mask, size) of every twin class of two or more
+    multiple = [
+        (sum(1 << v for v in members), len(members))
+        for members in classes
+        if len(members) > 1
+    ]
+    generators = None
+    if automorphisms > math.prod(math.factorial(t) for _, t in multiple):
+        # Aut(P) is more than the swaps of twins
+        *_, generators = small._quotient_search()
+        masks = [sum(1 << v for v in members) for members in classes]
+        merged = set()  # count profiles of the down-set orbits tried
+    # The maximal points by descending down-set size; the sentinel ends
+    # every scan.
+    tops = sorted(
+        ((gt[v].bit_count(), gt[v], 1 << v) for v in range(n) if not lt[v]),
+        reverse=True,
+    ) + [(-1, 0, 0)]
+    children = []
+    for down in _lattice(small)[0]:
+        if down & laters and any(
+            down & later and not down & earlier for later, earlier in twins
+        ):
+            continue  # a swap of twins gives an earlier down-set
+        size = down.bit_count()
+        tied = top  # the new point and its ties, as points of the child
+        plain = True  # every tie is a twin of the new point
+        for height, below, bit in tops:
+            if height < size:
+                break
+            if not down & bit:
+                if height > size:
+                    break
+                tied |= bit
+                plain = plain and below == down
+        if height > size:
+            continue  # a maximal point outside D has a larger down-set
+        orbit = 1  # the size of D's orbit under Aut(P), once complete
+        if generators:
+            profile = tuple((down & mask).bit_count() for mask in masks)
+            if profile in merged:
+                continue  # an automorphism of P gives a down-set tried
+            profiles = _profile_orbit(profile, generators)
+            merged |= profiles
+            orbit = len(profiles)
+        rows = [row | top if down >> a & 1 else row for a, row in enumerate(lt)]
+        rows.append(0)
+        # The new point is maximal: the old down-sets stay as they are.
+        child = Poset(n + 1, rows, _trusted=True, _gt=gt + (down,))
+        if plain:
+            for mask, t in multiple:
+                orbit *= math.comb(t, (down & mask).bit_count())
+            children.append((child, automorphisms // orbit * tied.bit_count()))
+            continue
+        classes_c, _, automorphisms_c, order, generators_c = child._quotient_search()
+        last = max(
+            (i for i, members in enumerate(classes_c) if tied >> members[0] & 1),
+            key=order.index,
+        )
+        new = next(i for i, members in enumerate(classes_c) if members[-1] == n)
+        if _orbit(last, generators_c) >> new & 1:
+            children.append((child, automorphisms_c))
+    return children
+
+
+def _profile_orbit(profile, generators):
+    """The orbit of a count profile under permutations of its places."""
+    orbit = {profile}
+    frontier = [profile]
+    while frontier:
+        counts = frontier.pop()
+        for g in generators:
+            image = [0] * len(counts)
+            for i, k in enumerate(counts):
+                image[g[i]] = k
+            image = tuple(image)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
 
 
 def random_poset(n, rng=None, edge_probability=0.35):
@@ -93,6 +183,8 @@ def random_poset(n, rng=None, edge_probability=0.35):
 
 def random_nonchain_poset(n, rng=None, edge_probability=0.35):
     """A random poset guaranteed not to be a chain (n must be at least 2)."""
+    if n < 2:
+        raise ValueError(f"every poset on n={n} points is a chain")
     rng = rng or random.Random()
     while True:
         poset = random_poset(n, rng, edge_probability)

@@ -334,22 +334,32 @@ class Poset:
         the sizes give each canonical point its colour, and two posets
         share a key exactly when they are isomorphic.
         """
-        n = self.n
+        classes, code, automorphisms, _, _ = self._quotient_search()
+        sizes = tuple(sorted(len(members) for members in classes))
+        return (self.n, (code, sizes)), automorphisms
+
+    def _quotient_search(self):
+        """(classes, code, |Aut(P)|, order, generators) from one search.
+
+        ``classes`` are the twin classes; the quotient's point i is the
+        class ``classes[i]``, coloured by its size.  The code, the canonical
+        order and the generators are ``_canonical_code``'s on the quotient.
+        """
         classes = self.twin_classes()
-        sizes = [len(members) for members in classes]
-        if len(classes) == n:
+        if len(classes) == self.n:
             down, up = self._gt, self.lt
         else:
-            index = [0] * n
+            index = [0] * self.n
             for i, members in enumerate(classes):
                 for v in members:
                     index[v] = i
             down = [_image(self._gt[members[0]], index) for members in classes]
             up = [_image(self.lt[members[0]], index) for members in classes]
-        code, automorphisms = _canonical_code(down, up, sizes)
+        sizes = [len(members) for members in classes]
+        code, automorphisms, order, generators = _canonical_code(down, up, sizes)
         for size in sizes:
             automorphisms *= math.factorial(size)
-        return (n, (code, tuple(sorted(sizes)))), automorphisms
+        return classes, code, automorphisms, order, generators
 
     def canonical_key(self):
         """A value equal across posets exactly when they are isomorphic.
@@ -441,7 +451,7 @@ def _orbit(v, generators):
 
 
 def _canonical_code(down, up, colours):
-    """The canonical relation code of a coloured poset, and |Aut|.
+    """(code, |Aut|, order, generators) of a coloured poset, from one search.
 
     ``down`` and ``up`` are the strict down- and up-set bitmasks of points
     0..m-1.  The root of the search tree is the equitable refinement of the
@@ -456,7 +466,9 @@ def _canonical_code(down, up, colours):
     fixing the node's path maps to a child already explored.  The
     automorphisms found generate, along the first path v_1, v_2, ..., each
     stabilizer of v_1..v_(i-1), so |Aut| is the product of the orbit sizes
-    of v_i under them.
+    of v_i under them, and they generate Aut.  Returned with the least code
+    are the order of its leaf and the generators, each a list mapping a
+    point to its image.
     """
     m = len(down)
 
@@ -475,7 +487,8 @@ def _canonical_code(down, up, colours):
     cells = [groups[colour] for colour in sorted(groups)]
     cells = _refine(cells, list(cells), down, up)
     if len(cells) == m:
-        return code_of([cell.bit_length() - 1 for cell in cells]), 1
+        order = [cell.bit_length() - 1 for cell in cells]
+        return code_of(order), 1, order, []
     generators = []
     first = best = None  # (code, path, order) of the first and the least leaf
 
@@ -525,7 +538,7 @@ def _canonical_code(down, up, colours):
     for i, v in enumerate(path):
         fixing = [g for g in generators if all(g[u] == u for u in path[:i])]
         automorphisms *= _orbit(v, fixing).bit_count()
-    return best[0], automorphisms
+    return best[0], automorphisms, best[2], generators
 
 
 def _validate(n, lt):

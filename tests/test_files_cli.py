@@ -41,6 +41,14 @@ def test_loads_errors():
     for text in ["n 2\nrel 0 x\n", "n three\n", "n 3\nperm 1 2 z\n", "n 2\nrel 0 1.5\n"]:
         with pytest.raises(FormatError, match=r"^line \d+: expected an integer"):
             files.loads(text)
+    with pytest.raises(FormatError, match=r"^line 1: expected a count of at least 1, got 0$"):
+        files.loads("n 0\n")
+    with pytest.raises(FormatError, match=r"^line 1: expected a count of at least 1, got -2$"):
+        files.loads("n -2\nrel 0 1\n")
+    with pytest.raises(FormatError, match=r"^line 3: relation \(0,5\) out of range for n=2$"):
+        files.loads("n 2\nrel 0 1\nrel 0 5\n")
+    with pytest.raises(FormatError, match=r"^line 1: relation \(-1,0\) out of range for n=2$"):
+        files.loads("rel -1 0\nn 2\n")
 
 
 def test_dump_load_round_trip(tmp_path, n_poset):
@@ -404,11 +412,17 @@ def test_cli_error_exit_codes(capsys, tmp_path):
 
 def test_cli_non_integer_field_names_path_and_line(capsys, tmp_path):
     bad = tmp_path / "bad.poset"
-    bad.write_text("n 2\n# a comment\nrel 0 x\n")
-    assert main(["count", str(bad)]) == EXIT_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {bad}: line 3: expected an integer, got 'x'\n"
+    for text, message in [
+        ("n 2\n# a comment\nrel 0 x\n", "line 3: expected an integer, got 'x'"),
+        ("n 2\nrel 0 5\n", "line 2: relation (0,5) out of range for n=2"),
+        ("n 0\n", "line 1: expected a count of at least 1, got 0"),
+        ("n 2\nrel 0 1\nrel 1 0\n", "relations close to a cycle"),
+    ]:
+        bad.write_text(text)
+        assert main(["count", str(bad)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: {message}\n"
 
 
 def test_cli_reports_are_byte_stable(capsys):
@@ -433,6 +447,17 @@ def test_cli_closed_stdout_pipe_is_silent():
     proc.stderr.close()
     assert proc.wait() == EXIT_ERROR
     assert stderr == b""
+
+
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetlex", "count", str(POSETS_DIR / "n.poset")],
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, b"5\n", b"")
 
 
 #: sha256 of ``posetlex enum FILE`` for every bundled poset within the

@@ -2,14 +2,16 @@
 
 import hashlib
 import math
+import random
 from collections import Counter
 
 import pytest
 
 from posetlex import GpcWitness, Poset, SizeCapError, ZeroSizeError, conjectures, linext, sweep
-from posetlex.generate import poset_classes
+from posetlex import poset as poset_module
+from posetlex.generate import poset_classes, random_nonchain_poset
 
-from conftest import labeled_posets
+from conftest import brute_automorphisms, labeled_posets
 
 #: Labeled posets on n = 1..6 points (OEIS A001035).
 LABELED = (1, 3, 19, 219, 4231, 130023)
@@ -17,9 +19,14 @@ LABELED = (1, 3, 19, 219, 4231, 130023)
 #: Isomorphism classes of posets on n = 1..7 points (OEIS A000112).
 CLASSES = (1, 2, 5, 16, 63, 318, 2045)
 
+#: sha256 of repr of the sorted list of (canonical key, |Aut|) over
+#: ``poset_classes(7)``: the classes and their automorphism counts, whatever
+#: the representatives.  Taken from the build that deduplicated by key.
+CLASSES_7_SHA256 = "6e248f0c6dc758710a612a4c1eb1bf14fad4a0d5314e5dc809a4effe129ba198"
+
 #: sha256 of repr((p.n, p.lt, |Aut(p)|)) over ``poset_classes(7)``, in
-#: yield order, as the build with one child per down-set gave it.
-CLASSES_7_SHA256 = "22c378bf86e468e3f539e080be7d221f31e5415444fd001e5004437e435b4308"
+#: yield order: the representatives, their labelings and their order.
+YIELD_7_SHA256 = "dd20355a1417c8d472a98afc90cd3a2c1b2c4d6aa8bca12587abc5950e3d6497"
 
 
 def _classes_of_size(n):
@@ -53,27 +60,44 @@ def test_class_counts():
 
 
 def test_classes_are_byte_stable():
-    """Skipping the children that a swap of twins repeats leaves every
-    representative, its labeling, its place and its |Aut| as they were."""
+    classes = list(poset_classes(7))
+    keys = sorted((p.canonical_key(), automorphisms) for p, automorphisms in classes)
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == CLASSES_7_SHA256
     digest = hashlib.sha256()
-    for p, automorphisms in poset_classes(7):
+    for p, automorphisms in classes:
         digest.update(repr((p.n, p.lt, automorphisms)).encode())
-    assert digest.hexdigest() == CLASSES_7_SHA256
+    assert digest.hexdigest() == YIELD_7_SHA256
+
+
+def test_automorphism_counts_match_brute_force():
+    """The counts read off the parents by orbit-stabilizer are exact."""
+    for p, automorphisms in poset_classes(6):
+        assert automorphisms == brute_automorphisms(p)
+
+
+def test_each_class_comes_once():
+    keys = [p.canonical_key() for p, _ in poset_classes(len(CLASSES))]
+    assert len(set(keys)) == len(keys) == sum(CLASSES)
 
 
 def test_one_child_per_twin_orbit(monkeypatch):
-    """Building every down-set's child took 172 canonical forms on at most
-    5 points; one child per orbit of twin swaps takes 134."""
-    calls = []
-    canonical_form = Poset.canonical_form
+    """Deduplicating every child by canonical key took 134 canonical forms
+    on at most 5 points; canonical augmentation searches 9 times, and
+    computes no canonical form."""
+    searches = []
+    search = poset_module._canonical_code
 
-    def counted(poset):
-        calls.append(poset)
-        return canonical_form(poset)
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
 
-    monkeypatch.setattr(Poset, "canonical_form", counted)
+    def forbidden(_):
+        raise AssertionError("poset_classes computed a canonical form")
+
+    monkeypatch.setattr(poset_module, "_canonical_code", counted)
+    monkeypatch.setattr(Poset, "canonical_form", forbidden)
     assert sum(1 for _ in poset_classes(5)) == sum(CLASSES[:5])
-    assert len(calls) <= 134
+    assert len(searches) <= 9
 
 
 def test_generation_drops_kept_matrices_of_handed_over_levels():
@@ -120,6 +144,12 @@ def test_sweep_searches_balanced_pairs_only_without_a_balanced_witness(monkeypat
 def test_sweep_cap():
     with pytest.raises(SizeCapError):
         sweep(9)
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_random_nonchain_poset_needs_two_points(n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        random_nonchain_poset(n, random.Random(1))
 
 
 @pytest.mark.parametrize("max_n", [0, -1])
