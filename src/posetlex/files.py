@@ -1,8 +1,9 @@
 """Reading and writing the one-poset-per-file text format.
 
-Format: first meaningful line is ``n <count>``; then either ``rel a b``
+Format: the first meaningful line is ``n <count>``; then either ``rel a b``
 lines (meaning a < b) or a single ``perm v1 ... vn`` line, never both.
-Lines starting with ``#`` and blank lines are ignored.
+Lines starting with ``#`` and blank lines are ignored.  A text is read in
+one pass; a malformed line raises FormatError naming it (``line 3: ...``).
 """
 
 from __future__ import annotations
@@ -41,38 +42,36 @@ def loads(text):
             n = _int(fields[1], lineno)
             if n < 1:
                 raise FormatError(f"line {lineno}: expected a count of at least 1, got {n}")
+        elif n is None:
+            raise FormatError(f"line {lineno}: expected 'n <count>' first, got {tag!r}")
         elif tag == "rel":
             if perm is not None:
                 raise FormatError(f"line {lineno}: rel after perm")
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'rel a b'")
-            pairs.append((_int(fields[1], lineno), _int(fields[2], lineno), lineno))
+            a, b = _int(fields[1], lineno), _int(fields[2], lineno)
+            if not (0 <= a < n and 0 <= b < n):
+                raise FormatError(f"line {lineno}: relation ({a},{b}) out of range for n={n}")
+            pairs.append((a, b))
         elif tag == "perm":
             if pairs or perm is not None:
                 raise FormatError(f"line {lineno}: perm mixed with rel")
             perm = [_int(v, lineno) for v in fields[1:]]
+            if len(perm) != n:
+                raise FormatError(f"line {lineno}: perm has {len(perm)} values, expected {n}")
         else:
             raise FormatError(f"line {lineno}: unknown tag {tag!r}")
     if n is None:
         raise FormatError("missing 'n' line")
     if perm is not None:
-        if len(perm) != n:
-            raise FormatError(f"perm has {len(perm)} values, expected {n}")
         return Poset.from_permutation(perm)
-    for a, b, lineno in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise FormatError(f"line {lineno}: relation ({a},{b}) out of range for n={n}")
-    return Poset.from_relations(n, [(a, b) for a, b, _ in pairs])
+    return Poset.from_relations(n, pairs)
 
 
 def dumps(poset, comment=None):
-    lines = []
-    if comment:
-        for row in comment.splitlines():
-            lines.append(f"# {row}")
+    lines = [f"# {row}" for row in (comment or "").splitlines()]
     lines.append(f"n {poset.n}")
-    for a, b in poset.covers():
-        lines.append(f"rel {a} {b}")
+    lines += (f"rel {a} {b}" for a, b in poset.covers())
     return "\n".join(lines) + "\n"
 
 

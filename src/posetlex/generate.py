@@ -51,24 +51,19 @@ def poset_classes(max_n):
     members, for k twins held of each class of t.  A class on n points
     has n!/|Aut| labelings.
 
-    What callers cache on the posets does not pile up: the pair-count
-    matrices and incomparable pairs kept on a level are dropped before its
-    children are built, and the last level is dropped class by class as it
-    is handed over.
+    Each level's children are built before the level is handed over, class
+    by class; the generator never reads or changes a class it has yielded.
     """
-    level = [(Poset.antichain(1), 1)] if max_n >= 1 else []
-    for _ in range(1, max_n):
-        yield from level
+    level = [(Poset.antichain(1), 1)]
+    for n in range(1, max_n + 1):
         children = []
-        for small, automorphisms in level:
-            # The class has been handed over: drop the pair-count matrices
-            # and pairs kept on it, which nothing here reads.
-            small._pair_counts = small._pairs = None
-            children += _children(small, automorphisms)
+        if n < max_n:
+            for small, automorphisms in level:
+                children += _children(small, automorphisms)
+        level.reverse()
+        while level:
+            yield level.pop()
         level = children
-    level.reverse()
-    while level:
-        yield level.pop()
 
 
 def _children(small, automorphisms):

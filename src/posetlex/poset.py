@@ -139,6 +139,9 @@ class Poset:
     # -- basic queries ----------------------------------------------------
 
     def is_lt(self, a, b):
+        """Whether a < b; ValueError for a point outside 0..n-1."""
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise ValueError(f"is_lt needs points in 0..{self.n - 1}, got ({a}, {b})")
         return bool(self.lt[a] >> b & 1)
 
     def above_mask(self, a):

@@ -9,7 +9,8 @@ from . import conjectures, linext
 from .errors import SizeCapError, ZeroSizeError
 from .generate import poset_classes
 
-#: Class generation beyond this is out of desk reach (16,999 classes on 8 points).
+#: The largest sweep, in points.  Generation to 9 points takes about 2.7 s,
+#: but ``sweep(9)`` about 21 s and 133 MB (Python 3.11, one 2-vCPU VM core).
 SWEEP_CAP = 8
 
 

@@ -8,13 +8,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 from posetlex import Poset, count_extensions, files, linext
 from posetlex.cli import EXIT_ERROR, EXIT_OK, main
 from posetlex.files import FormatError
 from posetlex.generate import random_nonchain_poset, random_poset
 
-from conftest import POSETS_DIR
+from conftest import POSETS_DIR, posets
 
 
 def test_loads_relations():
@@ -47,8 +48,30 @@ def test_loads_errors():
         files.loads("n -2\nrel 0 1\n")
     with pytest.raises(FormatError, match=r"^line 3: relation \(0,5\) out of range for n=2$"):
         files.loads("n 2\nrel 0 1\nrel 0 5\n")
-    with pytest.raises(FormatError, match=r"^line 1: relation \(-1,0\) out of range for n=2$"):
+    with pytest.raises(FormatError, match=r"^line 1: expected 'n <count>' first, got 'rel'$"):
         files.loads("rel -1 0\nn 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("rel 0 1\nn 2\n", 1), ("perm 2 1\nn 2\n", 1), ("# c\n\nrel 0 1\nn 2\n", 3)],
+    ids=["rel", "perm", "after-comments"],
+)
+def test_loads_wants_n_first(text, line):
+    """A rel or perm line before the n line is an error at its own line."""
+    with pytest.raises(FormatError, match=rf"^line {line}: expected 'n <count>' first"):
+        files.loads(text)
+
+
+def test_loads_names_the_line_of_a_wrong_perm_length():
+    with pytest.raises(FormatError, match=r"^line 2: perm has 2 values, expected 3$"):
+        files.loads("n 3\nperm 1 2\n")
+
+
+@settings(max_examples=80, deadline=None)
+@given(posets(10))
+def test_dumps_loads_round_trip(poset):
+    assert files.loads(files.dumps(poset, comment="round trip")) == poset
 
 
 def test_dump_load_round_trip(tmp_path, n_poset):

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from posetlex import GpcWitness, Poset, SizeCapError, ZeroSizeError, conjectures, linext, sweep
-from posetlex import poset as poset_module
+from posetlex import generate, poset as poset_module
 from posetlex.generate import poset_classes, random_nonchain_poset
 
 from conftest import brute_automorphisms, labeled_posets
@@ -100,15 +100,25 @@ def test_one_child_per_twin_orbit(monkeypatch):
     assert len(searches) <= 9
 
 
-def test_generation_drops_kept_matrices_of_handed_over_levels():
-    """The matrices a caller keeps on a level are dropped before the next."""
-    classes = []
+def test_generation_builds_children_before_handing_a_class_over(monkeypatch):
+    """A class on fewer than max_n points has had its children built when it
+    is yielded, and what a caller keeps on a yielded class stays as left."""
+    built = {}  # id -> class, kept alive so that the ids stay unique
+    children = generate._children
+
+    def recorded(small, automorphisms):
+        built[id(small)] = small
+        return children(small, automorphisms)
+
+    monkeypatch.setattr(generate, "_children", recorded)
+    kept = []
     for poset, _ in poset_classes(5):
-        linext.pair_counts(poset)
-        classes.append(poset)
-    assert len(classes) == sum(CLASSES[:5])
-    assert all(p._pair_counts is None for p in classes if p.n < 5)
-    assert all(p._pair_counts is not None for p in classes if p.n == 5)
+        assert (id(poset) in built) == (poset.n < 5)
+        kept.append((poset, linext.pair_counts(poset), poset._kept_pairs()))
+    assert len(kept) == sum(CLASSES[:5]) and len(built) == sum(CLASSES[:4])
+    assert all(
+        linext.pair_counts(p) is matrix and p._kept_pairs() is pairs for p, matrix, pairs in kept
+    )
 
 
 def test_sweep_seven_points():

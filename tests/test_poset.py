@@ -54,6 +54,13 @@ def test_from_relations_closes_transitively():
     assert p.relation_pairs() == [(0, 1), (0, 2), (1, 2)]
 
 
+@pytest.mark.parametrize("a, b", [(-3, 1), (1, -1), (3, 0), (0, 3)])
+def test_is_lt_rejects_points_out_of_range(a, b):
+    """A negative point does not count from the end."""
+    with pytest.raises(ValueError, match=r"is_lt needs points in 0\.\.2"):
+        Poset.chain(3).is_lt(a, b)
+
+
 def _reach(n, pairs):
     """reach[a] = the elements a path of the given pairs leads to from a."""
     reach = [set() for _ in range(n)]
