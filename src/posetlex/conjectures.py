@@ -127,58 +127,59 @@ def check_gpc(poset, mode="adaptive", strict=False):
 
     First pairs are tried in ascending index order and the first full
     witness is returned, so the result is deterministic.  Adaptive mode
-    takes the first admissible second pair of each outcome.  In nonadaptive
-    mode a single second pair, the first in ascending order, must be
-    incomparable in, and work for, every non-chain outcome.  Every t-value
-    is read off the pair-count matrices of P and of P + a<b, both computed
-    on P's lattice of ideals.  Both outcomes' windows (``_window``) come
-    from t1 = e(P + a<b), P's own count for the pair, before any pass over
-    an outcome: a first pair one of whose windows is empty cannot pass, so
-    it is skipped.  Otherwise the matrix of P + a<b is read, and each count
-    of P + b<a is P's count less that one.  One scan of P's incomparable
-    pairs, in ascending order, stops at the first pair whose count lies
-    inside the outcome's window (inside both, in nonadaptive mode): a pair
-    P orders counts 0 or t1, outside every window.  Each count is one
-    field read in place from a matrix's packed columns
-    (``PairCountMatrix.before``), so a scan that stops early reads few.
-    The matrices of P and of each P + a<b are kept on the poset
-    (``linext._kept_matrix``), so both modes, and every later call, share
-    one pass for each.
+    takes the first admissible second pair of each outcome; nonadaptive
+    mode one second pair, the first in ascending order, incomparable in and
+    working for every non-chain outcome.  Every t-value is read off the
+    pair-count matrices of P and of P + a<b, kept on the poset
+    (``linext._kept_matrix``), so both modes and every later call share one
+    pass for each.  Both windows (``_window``) come from t1 = e(P + a<b),
+    P's own count for the pair: a first pair with an empty window cannot
+    pass, and is skipped before its outcome's matrix is read.  Each count
+    of P + b<a is P's count less that of P + a<b.  One scan of P's
+    incomparable pairs, in ascending order, stops at the first pair whose
+    count lies inside the outcome's window (inside both, in nonadaptive
+    mode); a pair P orders counts 0 or t1, outside every window.  Each
+    count, t1 included, is one field shifted and masked out of a matrix's
+    packed ``columns``, so a scan that stops early reads few.
     """
     if mode not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown mode {mode!r}")
     if poset.is_chain():
         raise ChainError("the gold partition conjecture concerns non-chains")
     matrix = linext.pair_counts(poset)
-    whole, t0 = matrix.before, matrix.total
-    pairs = poset.incomparable_pairs()
+    whole, t0, width, field = matrix.columns, matrix.total, matrix.width, (1 << matrix.width) - 1
+    pairs = poset._kept_pairs()
     for a, b in pairs:
-        t1 = whole(a, b)
+        t1 = whole[b] >> width * a & field
         (lo, hi), (lo2, hi2) = _window(t0, t1, strict), _window(t0, t0 - t1, strict)
         if lo > hi or lo2 > hi2:
             continue  # no second pair can satisfy the inequality
-        part = linext._kept_matrix(poset, ((a, b),)).before
+        part = linext._kept_matrix(poset, ((a, b),))
+        columns, step, mask = part.columns, part.width, (1 << part.width) - 1
+        pick = pick2 = None
         if mode == "adaptive":
-            pick = next(((c, d) for c, d in pairs if lo <= part(c, d) <= hi), None)
-            if pick is None:
-                continue
-            pick2 = next(
-                ((c, d) for c, d in pairs if lo2 <= whole(c, d) - part(c, d) <= hi2), None
-            )
+            for c, d in pairs:
+                before = columns[d] >> step * c & mask
+                if lo <= before <= hi:
+                    pick = c, d
+                    break
+            for c, d in pairs if pick else ():
+                before2 = (whole[d] >> width * c & field) - (columns[d] >> step * c & mask)
+                if lo2 <= before2 <= hi2:
+                    pick2 = c, d
+                    break
         else:
-            pick = pick2 = next(
-                (
-                    (c, d)
-                    for c, d in pairs
-                    if lo <= part(c, d) <= hi and lo2 <= whole(c, d) - part(c, d) <= hi2
-                ),
-                None,
-            )
+            for c, d in pairs:
+                before = columns[d] >> step * c & mask
+                before2 = (whole[d] >> width * c & field) - before
+                if lo <= before <= hi and lo2 <= before2 <= hi2:
+                    pick = pick2 = c, d
+                    break
         if pick2 is None:
             continue
         branches = (
-            _branch((a, b), t1, pick, part(*pick), strict),
-            _branch((b, a), t0 - t1, pick2, whole(*pick2) - part(*pick2), strict),
+            _branch((a, b), t1, pick, before, strict),
+            _branch((b, a), t0 - t1, pick2, before2, strict),
         )
         return GpcWitness((a, b), t0, branches, strict)
     return None

@@ -3,12 +3,14 @@
 Format: the first meaningful line is ``n <count>``; then either ``rel a b``
 lines (meaning a < b) or a single ``perm v1 ... vn`` line, never both.
 Lines starting with ``#`` and blank lines are ignored.  A text is read in
-one pass; a malformed line raises FormatError naming it (``line 3: ...``).
+one pass; a malformed line raises FormatError naming it (``line 3: ...``),
+and so do a ``perm`` line with a repeated value and the ``rel`` line that
+closes a cycle.
 """
 
 from __future__ import annotations
 
-from .errors import PosetError
+from .errors import CycleError, DuplicateValueError, PosetError
 from .poset import Poset
 
 
@@ -63,9 +65,32 @@ def loads(text):
             raise FormatError(f"line {lineno}: unknown tag {tag!r}")
     if n is None:
         raise FormatError("missing 'n' line")
-    if perm is not None:
-        return Poset.from_permutation(perm)
-    return Poset.from_relations(n, pairs)
+    try:
+        if perm is not None:
+            return Poset.from_permutation(perm)
+        return Poset.from_relations(n, pairs)
+    except (CycleError, DuplicateValueError) as exc:
+        raise FormatError(f"line {_culprit(text, n)}: {exc}") from None
+
+
+def _culprit(text, n):
+    """The line at which a text that ``loads`` parsed stops being a poset.
+
+    That is its ``perm`` line, or the first ``rel`` line at which the
+    relations read so far close a cycle.  Called only on that error, so
+    the text is read again rather than every line number kept.
+    """
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tag, *fields = raw.split() or [""]
+        if tag == "perm":
+            return lineno
+        if tag == "rel":
+            pairs.append(tuple(map(int, fields)))
+            try:
+                Poset.from_relations(n, pairs)
+            except CycleError:
+                return lineno
 
 
 def dumps(poset, comment=None):

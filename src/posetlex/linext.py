@@ -14,20 +14,18 @@ each ideal's completions are its successors' completions with the element
 added, packed one label per byte of an int.  Counts of outcomes need no
 outcome poset: the ideals of P + a<b are the ideals of P that hold a
 whenever they hold b, so any outcome of comparisons is P's lattice with the
-steps it forbids dropped.  One forward pass, ``_down``, does all the
-forward counting on P's lattice, for several outcomes at once: each ideal
-holds one integer with a field per outcome, and a step masks out the fields
-of the outcomes that forbid it.  ``_counts`` reads its fields at the full
-ideal, which is how witnesses are recounted, and ``_matrix`` reads its
-vector for one outcome.  Pair probabilities come from a single pass: the
+steps it forbids dropped.  ``_matrix`` counts one outcome with its own
+forward loop; ``_down`` packs several outcomes into one pass for
+``_counts``, which is how witnesses are recounted: each ideal holds one
+integer with a field per outcome, and a step masks out the fields of the
+outcomes that forbid it.  Pair probabilities come from a single pass: the
 forward pass counts down(I) = e(P|I), a backward pass up(I) = e(P|rest),
 and #(y before x) is the sum of down(I)*up(I+x) over the ideals I that x
 extends and y lies in; the sums for every y are carried in one integer per
 x, a field per y.  A ``PairCountMatrix`` keeps those packed columns as they
-are: ``check_gpc``, ``delta``, ``balanced_pair`` and ``sort_cost`` read
-single fields in place (``before``), and the unpacked ``counts`` are built
-only when read.  The matrices of P and of the outcomes ``check_gpc`` reads
-are kept on the Poset too (``_kept_matrix``).  All probabilities are
+are: callers read single fields in place, and the unpacked ``counts`` are
+built only when read.  The matrices of P and of the outcomes ``check_gpc``
+reads are kept on the Poset too (``_kept_matrix``).  All probabilities are
 `fractions.Fraction`; floats never enter a comparison.
 """
 
@@ -236,7 +234,7 @@ def _lattice(poset):
     """
     if poset._lattice is not None:
         return poset._lattice
-    grow = [(x, poset.below_mask(x), poset.below_mask(x) | 1 << x) for x in range(poset.n)]
+    grow = [(x, below, below | 1 << x) for x, below in enumerate(poset._gt)]
     ideals = array("I", [0])
     sources = array("I")
     targets = array("I")
@@ -279,8 +277,8 @@ def _down(poset, givens):
     with a field per given, and a step's gate masks out the fields of the
     givens whose need the ideal misses.  The gates are built per x once per
     call, and most steps have none.  A field is as wide as n!, which bounds
-    every count, so no field carries into the next; with one given the int
-    is the count itself.  Ideals of P that no given reaches keep 0.
+    every count, so no field carries into the next.  Ideals of P that no
+    given reaches keep 0.
     """
     ideals, sources, targets, elements = _lattice(poset)
     width = _WIDTH[poset.n]
@@ -317,26 +315,33 @@ def _counts(poset, givens):
 def _matrix(poset, given=()):
     """The PairCountMatrix of P + given, from P's lattice, left packed.
 
-    The forward pass ``_down(P, [given])``, with its one field, gives
-    down(I) = e(Q|I) for every ideal I of Q = P + given; a backward pass,
-    one loop over the zipped step arrays reversed, gives up(I) = e(Q|rest)
-    over the same ideals, and an ideal of P that is not one of Q keeps
-    up = 0.  The extensions that place x right after exactly the ideal I
-    number down(I)*up(I+x), and they put every y of I before x, so
-    #(y before x) sums them over the steps from ideals that hold y.  Pairs
-    that P or ``given`` order come out as e(Q) or 0 by the same sum.  The
-    sums for every y are taken at once: column x is one integer holding
-    #(y before x) in field y, and a step adds down(I)*up(I+x) times I's
-    spread, the integer with a 1 in the field of each y in I.  The reversed
-    loop meets an ideal's steps after all of its successors', so I's
-    spread is I + x's less x's field, taken at I's last step.  No count
-    exceeds e(Q), so fields as wide as e(Q) never carry into each other,
-    and the columns are returned as they are, packed: callers read single
-    fields in place (``PairCountMatrix.before``).
+    A forward loop over the zipped step arrays gives down(I) = e(Q|I) for
+    every ideal I of Q = P + given: it skips a step adding x from an ideal
+    that lacks one of ``needs[x]``, the points ``given`` puts below x.  A
+    backward pass, the same loop reversed, gives up(I) = e(Q|rest); an
+    ideal of P that is not one of Q keeps 0 in both.  The extensions that
+    place x right after exactly the ideal I number down(I)*up(I+x), and
+    they put every y of I before x, so #(y before x) sums them over the
+    steps from ideals that hold y; pairs that P or ``given`` order come
+    out as e(Q) or 0.  The sums for every y are taken at once: column x is
+    one integer holding #(y before x) in field y, and a step adds
+    down(I)*up(I+x) times I's spread, the integer with a 1 in the field of
+    each y in I.  The reversed loop meets an ideal's steps after all of
+    its successors', so I's spread is I + x's less x's field, taken at I's
+    last step.  No count exceeds e(Q), so fields as wide as e(Q) never
+    carry into each other, and the columns are returned packed.
     """
     ideals, sources, targets, elements = _lattice(poset)
     n = poset.n
-    down = _down(poset, [given])
+    needs = [0] * n
+    for a, b in given:
+        needs[b] |= 1 << a
+    down = [0] * len(ideals)
+    down[0] = 1
+    for i, j, x in zip(sources, targets, elements):
+        need = needs[x]
+        if not need or ideals[i] & need == need:
+            down[j] += down[i]
     total = down[-1]
     width = total.bit_length()
     units = [1 << width * y for y in range(n)]

@@ -50,6 +50,12 @@ def test_loads_errors():
         files.loads("n 2\nrel 0 1\nrel 0 5\n")
     with pytest.raises(FormatError, match=r"^line 1: expected 'n <count>' first, got 'rel'$"):
         files.loads("rel -1 0\nn 2\n")
+    with pytest.raises(FormatError, match=r"^line 2: permutation values must be distinct$"):
+        files.loads("n 2\nperm 1 1\n")
+    with pytest.raises(FormatError, match=r"^line 3: relations close to a cycle$"):
+        files.loads("n 2\nrel 0 1\nrel 1 0\n")
+    with pytest.raises(FormatError, match=r"^line 5: relations close to a cycle$"):
+        files.loads("n 3\nrel 0 1\n# a comment\nrel 1 2\nrel 2 0\nrel 2 2\n")
 
 
 @pytest.mark.parametrize(
@@ -439,7 +445,8 @@ def test_cli_non_integer_field_names_path_and_line(capsys, tmp_path):
         ("n 2\n# a comment\nrel 0 x\n", "line 3: expected an integer, got 'x'"),
         ("n 2\nrel 0 5\n", "line 2: relation (0,5) out of range for n=2"),
         ("n 0\n", "line 1: expected a count of at least 1, got 0"),
-        ("n 2\nrel 0 1\nrel 1 0\n", "relations close to a cycle"),
+        ("n 2\nrel 0 1\nrel 1 0\n", "line 3: relations close to a cycle"),
+        ("n 2\nperm 1 1\n", "line 2: permutation values must be distinct"),
     ]:
         bad.write_text(text)
         assert main(["count", str(bad)]) == EXIT_ERROR

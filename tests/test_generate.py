@@ -3,12 +3,13 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from posetlex import GpcWitness, Poset, SizeCapError, ZeroSizeError, conjectures, linext, sweep
-from posetlex import generate, poset as poset_module
+from posetlex import GpcWitness, Poset, PosetError, SizeCapError, ZeroSizeError, conjectures
+from posetlex import generate, linext, poset as poset_module, survey, sweep
 from posetlex.generate import poset_classes, random_nonchain_poset
 
 from conftest import brute_automorphisms, labeled_posets
@@ -27,6 +28,38 @@ CLASSES_7_SHA256 = "6e248f0c6dc758710a612a4c1eb1bf14fad4a0d5314e5dc809a4effe129b
 #: sha256 of repr((p.n, p.lt, |Aut(p)|)) over ``poset_classes(7)``, in
 #: yield order: the representatives, their labelings and their order.
 YIELD_7_SHA256 = "dd20355a1417c8d472a98afc90cd3a2c1b2c4d6aa8bca12587abc5950e3d6497"
+
+#: ``sweep(7).to_json_dict()`` but for its mode and GPC failure count.
+SWEEP_7 = {
+    "max_n": 7,
+    "total_posets": 6264355,
+    "chains": 5913,
+    "non_chains_checked": 6258442,
+    "one_third_failures": 0,
+    "unbalanced_witness_first_pairs": 0,
+}
+
+#: (mode, strict) -> (GPC failures of ``sweep(7)``, sha256 of repr of the
+#: sorted canonical keys of the failing classes).
+SWEEP_7_GPC = {
+    ("adaptive", False): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("adaptive", True): (60, "3a4e848b7da45cd889a73de1b76fc16f7068fe7e3ede370fb01281e81597e98c"),
+    ("nonadaptive", False): (29, "6557ee5a837227e2251cac837360db05fb2dc18bf4313313d9e3232fc9210264"),
+    ("nonadaptive", True): (78, "edf3bac8dbb9d6f8fc65d93fedee50fc5b0c674be941b014a077f46e059ee0f3"),
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_7():
+    """``sweep(7)`` in a (mode, strict) setting, each computed once for the module."""
+    summaries = {}
+
+    def summary(mode, strict):
+        if (mode, strict) not in summaries:
+            summaries[mode, strict] = sweep(7, mode=mode, strict=strict)
+        return summaries[mode, strict]
+
+    return summary
 
 
 def _classes_of_size(n):
@@ -121,11 +154,40 @@ def test_generation_builds_children_before_handing_a_class_over(monkeypatch):
     )
 
 
-def test_sweep_seven_points():
-    summary = sweep(7)
+def test_sweep_seven_points(sweep_7):
+    summary = sweep_7("adaptive", False)
     assert (summary.total, summary.chains) == (6264355, 5913)
     assert summary.checked == summary.total - summary.chains
     assert summary.clean
+
+
+@pytest.mark.parametrize("mode, strict", list(SWEEP_7_GPC))
+def test_sweep_seven_points_is_pinned(sweep_7, mode, strict):
+    summary = sweep_7(mode, strict)
+    failures, digest = SWEEP_7_GPC[mode, strict]
+    assert summary.to_json_dict() == {**SWEEP_7, "mode": mode, "gpc_failures": failures}
+    keys = sorted(p.canonical_key() for p in summary.gpc_failures)
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
+
+def test_sweep_checks_its_counts_against_oeis(monkeypatch):
+    """A generator that loses a class fails the sweep, naming the size."""
+    classes = poset_classes
+
+    def lossy(max_n):
+        for poset, automorphisms in classes(max_n):
+            if poset != Poset.antichain(3):
+                yield poset, automorphisms
+
+    monkeypatch.setattr(survey, "poset_classes", lossy)
+    message = (
+        "sweep met 4 classes and 18 labeled posets on 3 points;"
+        " OEIS A000112 and A001035 give 5 and 19"
+    )
+    with pytest.raises(PosetError, match=f"^{re.escape(message)}$"):
+        sweep(4)
+    assert survey.CLASSES[:len(CLASSES)] == CLASSES
+    assert survey.LABELED[:len(LABELED)] == LABELED
 
 
 def test_sweep_searches_balanced_pairs_only_without_a_balanced_witness(monkeypatch):

@@ -416,6 +416,31 @@ def test_outcome_counts_match_brute_force_on_twins(poset, data):
     _check_outcomes(data, poset)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(posets(7), twin_heavy_posets(7)), st.integers(0, 99), st.integers(0, 99))
+@example(Poset.from_relations(4, [(0, 2), (1, 2), (1, 3)]), 0, 0)
+def test_degenerate_givens_match_brute_force(poset, i, j):
+    """``_matrix``'s forward loop and ``_counts`` agree with the filtered
+    extensions when ``given`` adds nothing or leaves nothing: a comparison P
+    implies gives P's matrix; one P contradicts, or two that close a cycle,
+    give total 0 and every count 0."""
+    orders = brute_extensions(poset)
+    zeros = [[0] * poset.n for _ in range(poset.n)]
+    cases = []
+    relations, pairs = poset.relation_pairs(), poset.incomparable_pairs()
+    if relations:
+        a, b = relations[i % len(relations)]
+        cases += [(((a, b),), len(orders), brute_pair_counts(poset)), (((b, a),), 0, zeros)]
+    if pairs:
+        a, b = pairs[j % len(pairs)]
+        cases.append((((a, b), (b, a)), 0, zeros))
+    for given_, total, counts in cases:
+        kept = [o for o in orders if all(o.index(a) < o.index(b) for a, b in given_)]
+        matrix = linext._matrix(poset, given_)
+        assert linext._counts(poset, [given_]) == [matrix.total] == [len(kept)] == [total]
+        assert [list(row) for row in matrix.counts] == brute_pair_counts(poset, kept) == counts
+
+
 def test_count_extensions_runs_its_own_pass(monkeypatch, n_poset):
     pair_counts(n_poset)
     passes = _count_passes(monkeypatch)
