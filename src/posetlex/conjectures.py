@@ -12,11 +12,9 @@ forces t0 <= 3.
 
 Two readings of "consecutive" are implemented: adaptive (the second pair
 may depend on the first result, the default) and nonadaptive (one second
-pair serves both results).  In one outcome the inequality is a window of
-counts, and the search scans for the first second pair inside it.  A
-strict variant (t0 > t1 + t2, vacuous t2 counted as 0) is kept behind
-``strict``; note that under it no poset with exactly three extensions can
-pass, so it is not the default.
+pair serves both results).  A strict variant (t0 > t1 + t2, vacuous t2
+counted as 0) is kept behind ``strict``, False or True; under it no poset
+with exactly three extensions can pass, so it is not the default.
 """
 
 from __future__ import annotations
@@ -99,15 +97,13 @@ def _stays_incomparable(poset, x, y, c, d):
 def _window(t0, t1, strict):
     """(lo, hi): the counts of a second pair that pass in a t1 outcome.
 
-    A pair ordered c<d in ``before`` of the t1 extensions passes exactly
-    when lo <= before <= hi.  It leaves t2 = max(before, t1 - before), so
-    with room = t0 - t1 (less one when strict) the inequality reads
-    t1 - room <= before <= room; 0 < before < t1 keeps the pair
-    incomparable in the outcome.  For t1 >= 2 the window is empty
-    (lo > hi) exactly when room < ceil(t1/2), the least t2 any second pair
-    can leave.  A chain outcome (t1 = 1) takes the vacuous t2, 1 (0 when
-    strict), which passes for every non-chain P (t0 >= 2): it accepts
-    every pair.
+    A pair ordered c<d in ``before`` of the t1 extensions leaves
+    t2 = max(before, t1 - before), so with room = t0 - t1 (less one when
+    strict) it passes exactly when t1 - room <= before <= room, and
+    0 < before < t1 keeps it incomparable in the outcome.  For t1 >= 2 the
+    window is empty (lo > hi) exactly when room < ceil(t1/2), the least t2
+    any second pair leaves.  A chain outcome (t1 = 1) takes the vacuous t2,
+    which passes for every non-chain P (t0 >= 2): it accepts every pair.
     """
     if t1 == 1:
         return 0, 1
@@ -122,6 +118,14 @@ def _branch(result, t1, second, before, strict):
     return GpcBranch(result, t1, second, max(before, t1 - before))
 
 
+def _check_options(mode, strict):
+    """Reject a mode other than the two readings, or a non-bool ``strict``."""
+    if mode not in ("adaptive", "nonadaptive"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if strict is not False and strict is not True:
+        raise ValueError(f"strict must be False or True, got {strict!r}")
+
+
 def check_gpc(poset, mode="adaptive", strict=False):
     """Search for a gold-partition witness; None means the poset fails.
 
@@ -129,23 +133,33 @@ def check_gpc(poset, mode="adaptive", strict=False):
     witness is returned, so the result is deterministic.  Adaptive mode
     takes the first admissible second pair of each outcome; nonadaptive
     mode one second pair, the first in ascending order, incomparable in and
-    working for every non-chain outcome.  Every t-value is read off the
-    pair-count matrices of P and of P + a<b, kept on the poset
-    (``linext._kept_matrix``), so both modes and every later call share one
-    pass for each.  Both windows (``_window``) come from t1 = e(P + a<b),
-    P's own count for the pair: a first pair with an empty window cannot
-    pass, and is skipped before its outcome's matrix is read.  Each count
-    of P + b<a is P's count less that of P + a<b.  One scan of P's
-    incomparable pairs, in ascending order, stops at the first pair whose
-    count lies inside the outcome's window (inside both, in nonadaptive
-    mode); a pair P orders counts 0 or t1, outside every window.  Each
-    count, t1 included, is one field shifted and masked out of a matrix's
-    packed ``columns``, so a scan that stops early reads few.
+    working for every non-chain outcome.  The scan is ``_search``, whose
+    counts ``survey.sweep`` reads with no witness built.
     """
-    if mode not in ("adaptive", "nonadaptive"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_options(mode, strict)
     if poset.is_chain():
         raise ChainError("the gold partition conjecture concerns non-chains")
+    found = _search(poset, mode == "adaptive", strict)
+    if found is None:
+        return None
+    a, b, t0, t1, pick, before, pick2, before2 = found
+    branches = (
+        _branch((a, b), t1, pick, before, strict),
+        _branch((b, a), t0 - t1, pick2, before2, strict),
+    )
+    return GpcWitness((a, b), t0, branches, strict)
+
+
+def _search(poset, adaptive, strict):
+    """``check_gpc``'s scan: (a, b, t0, t1, pick, before, pick2, before2).
+
+    (a, b) is the first pair, t0 = e(P), t1 = e(P + a<b); the outcomes a<b
+    and b<a order their second pairs ``pick`` and ``pick2`` in ``before``
+    and ``before2`` extensions; None when no first pair passes.  Counts
+    are fields of the kept matrices of P and P + a<b (``_kept_matrix``);
+    P + b<a's are P's less P + a<b's.  A first pair with an empty window
+    (``_window``) is skipped before its outcome's matrix is read.
+    """
     matrix = linext.pair_counts(poset)
     whole, t0, width, field = matrix.columns, matrix.total, matrix.width, (1 << matrix.width) - 1
     pairs = poset._kept_pairs()
@@ -157,7 +171,7 @@ def check_gpc(poset, mode="adaptive", strict=False):
         part = linext._kept_matrix(poset, ((a, b),))
         columns, step, mask = part.columns, part.width, (1 << part.width) - 1
         pick = pick2 = None
-        if mode == "adaptive":
+        if adaptive:
             for c, d in pairs:
                 before = columns[d] >> step * c & mask
                 if lo <= before <= hi:
@@ -175,26 +189,19 @@ def check_gpc(poset, mode="adaptive", strict=False):
                 if lo <= before <= hi and lo2 <= before2 <= hi2:
                     pick = pick2 = c, d
                     break
-        if pick2 is None:
-            continue
-        branches = (
-            _branch((a, b), t1, pick, before, strict),
-            _branch((b, a), t0 - t1, pick2, before2, strict),
-        )
-        return GpcWitness((a, b), t0, branches, strict)
+        if pick2 is not None:
+            return a, b, t0, t1, pick, before, pick2, before2
     return None
 
 
 def _recount(poset, results, seconds):
     """e(P) and each branch's (t1, t2), from one packed pass over P's lattice.
 
-    ``results`` orients the first pair once each way, and ``seconds[i]``
-    is branch i's second pair, None when it has none.  The pass
+    ``results`` orients the first pair once each way; ``seconds[i]`` is
+    branch i's second pair, or None, which gets t2 = None.  The pass
     (``linext._counts``) counts e(P), the first branch's t1 and one
-    orientation of each second pair.  Each comparison's other outcome is
-    the rest: the second branch's t1 is e(P) less the first's, and a second
-    pair's other orientation is t1 less the one counted.  A branch with no
-    second pair gets t2 = None.
+    orientation of each second pair; each comparison's other outcome is
+    the rest (e(P) less t1, or t1 less the one counted).
     """
     givens = [(), (results[0],)]
     givens += [(r, s) for r, s in zip(results, seconds) if s is not None]
@@ -215,21 +222,16 @@ def _recount(poset, results, seconds):
 def verify_gpc_witness(poset, witness):
     """Recount every t-value of a witness from scratch and recheck it.
 
-    The first pair, each branch's orientation of it and each recorded
-    second pair must be two integers, or the witness is rejected.  The
-    first pair must be two incomparable points of P, and the two branches
-    must orient it one each way.  A recorded second pair must be
-    two points incomparable in the outcome, read off P's rows.  The
-    recounts are not the pair-count matrices the search reads, so they
-    check it independently: e(P) and every branch's (t1, t2) come from one
-    packed pass over P's lattice of ideals (``_recount``).  The outcome's
-    other pairs are counted only for a branch with no second pair and
-    t1 > 1.
-
-    A branch with no second pair is accepted when the outcome is a chain
-    (t1 = 1, the vacuous count), or when some actual second comparison
-    achieves at most the recorded t2 -- the form lifted witnesses take on
-    branches whose component part is already sorted.
+    The first pair must be two incomparable points of P, the two branches
+    must orient it one each way, and a recorded second pair must be two
+    points incomparable in the outcome, read off P's rows; every pair must
+    be two integers.  The recounts are not the matrices the search reads,
+    so they check it independently: e(P) and every branch's (t1, t2) come
+    from one packed pass over P's lattice (``_recount``).  A branch with
+    no second pair is accepted when its outcome is a chain (t1 = 1, the
+    vacuous t2) or, counting the outcome's pairs, when one achieves at
+    most the recorded t2: the form lifted witnesses take on branches whose
+    component part is already sorted.
     """
     results = [branch.result for branch in witness.branches]
     seconds = [branch.second for branch in witness.branches]
@@ -280,9 +282,9 @@ def sort_cost(poset):
     The larger outcome is solved first, and the smaller only when the pair
     can still win.  Two closed forms end the search: e <= 3 costs e - 1,
     and a most balanced pair with t <= 3 gives exactly t.  Every other
-    node's exact cost is memoized up to isomorphism, for this call only; a
-    node with e >= 7 cannot end in a closed form, so it reads the memo
-    before its pair-count pass.
+    non-root node's cost is memoized up to isomorphism, for this call only;
+    from e = 7 on every pair leaves t >= ceil(e/2) >= 4, past the closed
+    forms, so such a node reads the memo before its pair-count pass.
     """
     if poset.n > SORT_COST_CAP:
         raise SizeCapError(f"sort_cost capped at {SORT_COST_CAP} elements")
@@ -293,9 +295,6 @@ def sort_cost(poset):
         return e - 1 if e <= 3 else search(node.with_relation(a, b), e, False)
 
     def search(node, e, root):
-        # From e = 7 on every pair leaves t >= ceil(e/2) >= 4, so no closed
-        # form applies: the memo is read before the node's pass.  The root
-        # is never keyed.
         key = None if root or e < 7 else node.canonical_key()
         if key in memo:
             return memo[key]

@@ -224,7 +224,8 @@ def lift_witness(sum_poset, mapping, component, witness):
     ideals (``conjectures._recount``), and checked to be exactly k times
     the component value, k = e(sum) / t0; a chain outcome's vacuous t2
     lifts to t1 once k > 1.  A lifted witness that breaks the inequality
-    raises InvalidWitnessError.
+    raises InvalidWitnessError.  A nonadaptive witness need not lift to one:
+    Q = {0 < 2, 1} has one, R = {0 < 1 < 3, 0 < 2} o_0 Q has none.
     """
     if not verify_gpc_witness(component, witness):
         raise InvalidWitnessError("witness fails re-verification on the component")

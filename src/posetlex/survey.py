@@ -10,7 +10,7 @@ from .errors import PosetError, SizeCapError, ZeroSizeError
 from .generate import poset_classes
 
 #: The largest sweep, in points.  Generation to 9 points takes about 2.6 s,
-#: but ``sweep(9)`` about 19.5 s and 133 MB (Python 3.11, one 2-vCPU VM core).
+#: but ``sweep(9)`` about 18.7 s and 133 MB (Python 3.11, one 2-vCPU VM core).
 SWEEP_CAP = 8
 
 #: Posets on n = 1..10 points, up to isomorphism (OEIS A000112) and labeled
@@ -32,9 +32,7 @@ class SweepSummary:
 
     @property
     def clean(self):
-        return not (
-            self.gpc_failures or self.one_third_failures or self.unbalanced_witnesses
-        )
+        return not (self.gpc_failures or self.one_third_failures or self.unbalanced_witnesses)
 
     def to_json_dict(self):
         return {
@@ -54,18 +52,21 @@ def sweep(max_n, mode="adaptive", strict=False):
 
     Both checks are isomorphism invariant, so each isomorphism class is
     checked once, on its representative, and counted n!/|Aut| times, once
-    per labeling.  Each failure list holds one representative per failing
-    class.  Expected outcome everywhere in reach: zero failures.  A sweep
-    needs max_n >= 1: posets have at least one point.  The number of
-    classes and of labelings on each size are checked against ``CLASSES``
-    and ``LABELED``; a mismatch, which would mean the generator lost or
+    per labeling.  Each class runs ``check_gpc``'s search, whose counts t0
+    and t1 tell whether the first pair is balanced, and builds no witness.
+    Each failure list holds one representative per failing class.
+    Expected outcome everywhere in reach: zero failures.  A sweep needs
+    max_n >= 1: posets have at least one point.  The number of classes and
+    of labelings on each size are checked against ``CLASSES`` and
+    ``LABELED``; a mismatch, which would mean the generator lost or
     repeated a class, raises PosetError.
     """
+    conjectures._check_options(mode, strict)
     if max_n < 1:
         raise ZeroSizeError(f"sweep needs at least 1 element, got {max_n}")
     if max_n > SWEEP_CAP:
         raise SizeCapError(f"sweep capped at {SWEEP_CAP} elements")
-    summary = SweepSummary(max_n, mode)
+    summary, adaptive = SweepSummary(max_n, mode), mode == "adaptive"
     classes, labeled = [0] * max_n, [0] * max_n
     for poset, automorphisms in poset_classes(max_n):
         labelings = math.factorial(poset.n) // automorphisms
@@ -76,14 +77,13 @@ def sweep(max_n, mode="adaptive", strict=False):
             summary.chains += labelings
             continue
         summary.checked += labelings
-        witness = conjectures.check_gpc(poset, mode=mode, strict=strict)
+        found = conjectures._search(poset, adaptive, strict)
         balanced = False
-        if witness is None:
+        if found is None:
             summary.gpc_failures.append(poset)
         else:
-            # P(first pair) is t1/t0 of the branch that orients it as given.
-            t1 = next(b.t1 for b in witness.branches if b.result == witness.first)
-            balanced = linext._balanced(t1, witness.t0)
+            # P(first pair) is t1/t0, with found = (a, b, t0, t1, ...).
+            balanced = linext._balanced(found[3], found[2])
             if not balanced:
                 summary.unbalanced_witnesses.append(poset)
         # A balanced first pair is a balanced pair; search only without one.

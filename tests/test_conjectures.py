@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,15 @@ def test_point_beside_chain_witness(point_and_chain):
     assert verify_gpc_witness(point_and_chain, w)
     assert {b.t1 for b in w.branches} == {1, 2}
     assert Fraction(1, 3) <= prob(point_and_chain, *w.first) <= Fraction(2, 3)
+
+
+@pytest.mark.parametrize("strict", [2, 0.5, 1, None, "yes"])
+def test_strict_must_be_a_bool(strict):
+    """strict=2 would search a stricter inequality, 0.5 put a float into the
+    windows and the JSON; only False and True are accepted."""
+    message = f"strict must be False or True, got {strict!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_gpc(Poset.antichain(3), strict=strict)
 
 
 def test_strict_reading_fails_on_three_extensions(point_and_chain):

@@ -185,6 +185,14 @@ def test_gpc_via_decomposition_verifies_and_agrees_with_direct(poset, strict):
     assert w is None or verify_gpc_witness(poset, w)
 
 
+@pytest.mark.parametrize("poset", [Poset.antichain(3), Poset.antichain(2)], ids=["factor", "direct"])
+def test_gpc_via_decomposition_rejects_non_bool_strict(poset):
+    """Both paths, the factor's search and the direct one, check ``strict``."""
+    for strict in (2, 0.5):
+        with pytest.raises(ValueError, match="^strict must be False or True"):
+            gpc_via_decomposition(poset, strict=strict)
+
+
 def test_gpc_via_decomposition_strict_antichain():
     # the factor {0, 1} has t0 = 2 and vacuous branches; lifted by k = 3
     # they tie t0 = t1 + t2 = 6, so the direct search answers

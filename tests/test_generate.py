@@ -196,21 +196,92 @@ def test_sweep_searches_balanced_pairs_only_without_a_balanced_witness(monkeypat
     searched = []
     monkeypatch.setattr(linext, "balanced_pair", searched.append)  # finds none
     assert sweep(4).clean and searched == []
-    check = conjectures.check_gpc
+    search = conjectures._search
 
-    def unbalanced(poset, **options):
-        witness = check(poset, **options)
-        return GpcWitness(witness.first, 9 * witness.t0, witness.branches)
+    def unbalanced(poset, adaptive, strict):
+        a, b, t0, *rest = search(poset, adaptive, strict)
+        return a, b, 9 * t0, *rest
 
-    monkeypatch.setattr(conjectures, "check_gpc", unbalanced)
+    monkeypatch.setattr(conjectures, "_search", unbalanced)
     summary = sweep(4)
     assert summary.unbalanced_witnesses == summary.one_third_failures == searched
     assert len(searched) == 20  # the non-chain classes on at most 4 points
     searched.clear()
-    monkeypatch.setattr(conjectures, "check_gpc", lambda poset, **options: None)
+    monkeypatch.setattr(conjectures, "_search", lambda poset, adaptive, strict: None)
     summary = sweep(4)
     assert summary.gpc_failures == summary.one_third_failures == searched
     assert len(searched) == 20
+
+
+@pytest.mark.parametrize("max_n", [1, 3])
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"mode": "bogus"}, "unknown mode 'bogus'"),
+        ({"strict": 2}, "strict must be False or True, got 2"),
+        ({"strict": 0.5}, "strict must be False or True, got 0.5"),
+        ({"strict": None}, "strict must be False or True, got None"),
+    ],
+    ids=["mode", "strict2", "strict_half", "strict_none"],
+)
+def test_sweep_rejects_bad_options_before_generating(monkeypatch, max_n, options, message):
+    """``check_gpc``'s errors, at every size, even with no non-chain met."""
+
+    def generated(max_n):
+        raise AssertionError("generated before checking the options")
+
+    monkeypatch.setattr(survey, "poset_classes", generated)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep(max_n, **options)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        conjectures.check_gpc(Poset.antichain(2), **options)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])
+def test_sweep_reads_check_gpc_search(monkeypatch, mode, strict):
+    """What ``sweep`` reads off each class is ``check_gpc``'s witness: the
+    first pair, t0 and the first branch's t1, or None for both."""
+    seen = []
+    search = conjectures._search
+
+    def recorded(poset, adaptive, strict):
+        found = search(poset, adaptive, strict)
+        seen.append((poset, adaptive, strict, found))
+        return found
+
+    monkeypatch.setattr(conjectures, "_search", recorded)
+    sweep(6, mode=mode, strict=strict)
+    monkeypatch.setattr(conjectures, "_search", search)  # check_gpc's own calls unrecorded
+    non_chains = [p for p, _ in poset_classes(6) if not p.is_chain()]
+    assert [poset for poset, *_ in seen] == non_chains and len(non_chains) == 399
+    for poset, adaptive, searched_strict, found in seen:
+        assert (adaptive, searched_strict) == (mode == "adaptive", strict)
+        witness = conjectures.check_gpc(poset, mode=mode, strict=strict)
+        if witness is None:
+            assert found is None
+        else:
+            first = witness.branches[0]
+            assert first.result == witness.first
+            assert found[:4] == (*witness.first, witness.t0, first.t1)
+
+
+def test_sweep_builds_no_witness(monkeypatch):
+    built = Counter()
+
+    def counted(cls):
+        def build(*fields):
+            built[cls.__name__] += 1
+            return cls(*fields)
+
+        return build
+
+    for cls in (GpcWitness, conjectures.GpcBranch):
+        monkeypatch.setattr(conjectures, cls.__name__, counted(cls))
+    assert sweep(5).clean
+    assert built == {}
+    conjectures.check_gpc(Poset.antichain(2))  # the counters do count
+    assert built == {"GpcWitness": 1, "GpcBranch": 2}
 
 
 def test_sweep_cap():

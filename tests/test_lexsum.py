@@ -46,6 +46,7 @@ from posetlex.linext import LinearExtension
 from conftest import (
     brute_count,
     brute_extensions,
+    brute_gpc,
     brute_locality_table,
     posets,
     twin_heavy_posets,
@@ -374,6 +375,27 @@ def test_lift_rejects_invalid_witness(n_poset):
     forged = GpcWitness(w.first, w.t0 + 1, w.branches, w.strict)
     with pytest.raises(InvalidWitnessError):
         lift_gpc_witness(n_poset, 0, q, forged)
+
+
+def test_nonadaptive_witness_need_not_lift():
+    """Where the theorem stops: R = B o_0 Q on six points.  Q has a
+    nonadaptive witness, R none; its chain outcome 1 < 0 becomes a
+    3-extension outcome of R.  The lift of Q's witness is adaptive only."""
+    r = Poset.from_relations(
+        6,
+        [(0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5)],
+    )
+    q = Poset.from_relations(3, [(0, 2)])
+    b = Poset.from_relations(4, [(0, 1), (0, 2), (0, 3), (1, 3)])
+    assert compose_at(b, 0, q).poset == r
+    for search in (check_gpc, lambda p, mode: brute_gpc(p, mode, False)):
+        witness = search(q, mode="nonadaptive")
+        assert witness is not None and witness.branches[1].second is None
+        assert search(r, mode="nonadaptive") is None
+        assert search(r, mode="adaptive") is not None
+    lifted = lift_witness(r, (0, 1, 2), q, check_gpc(q, mode="nonadaptive"))
+    assert verify_gpc_witness(r, lifted)
+    assert [(x.t1, x.second, x.t2) for x in lifted.branches] == [(6, (1, 2), 3), (3, None, 3)]
 
 
 def test_prob_preservation(n_poset):
