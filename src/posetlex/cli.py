@@ -12,21 +12,18 @@ decimal renderings are annotations only.  Exit codes: 0 success, 1 bad
 input or I/O, 2 a conjecture check failed.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
 import os
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import conjectures, files, lexsum as lexsum_mod, linext, survey
 from .decompose import decompose as run_decompose, gpc_via_decomposition
 from .errors import PosetError
-from .poset import Poset
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -39,15 +36,16 @@ CAP_COMMANDS = ("enum", "verify-locality")
 WRITE_COMMANDS = ("lexsum", "compose-at", "dot")
 
 
-class Report(NamedTuple):
+class Report(
+    namedtuple(
+        "Report", "poset result text extensions code", defaults=(None, None, EXIT_OK)
+    )
+):
     """What a command computed: ``text`` as written (None: ``result`` as
-    indented JSON), and the input ``poset`` with its e(P) if already held."""
+    indented JSON), the input ``poset`` (or None) with its e(P) if already
+    held, and the exit ``code``."""
 
-    poset: Poset | None
-    result: object
-    text: str | None = None
-    extensions: int | None = None
-    code: int = EXIT_OK
+    __slots__ = ()
 
 
 def _fraction_str(value):

@@ -17,9 +17,7 @@ counted as 0) is kept behind ``strict``, False or True; under it no poset
 with exactly three extensions can pass, so it is not the default.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linext
 from .errors import ChainError, SizeCapError
@@ -28,22 +26,20 @@ from .errors import ChainError, SizeCapError
 SORT_COST_CAP = 8
 
 
-@dataclass(frozen=True)
-class GpcBranch:
-    """One outcome of the first comparison."""
+class GpcBranch(namedtuple("GpcBranch", "result t1 second t2")):
+    """One outcome of the first comparison.
 
-    result: tuple  # oriented first pair (smaller, larger) for this outcome
-    t1: int
-    second: tuple | None  # oriented second pair, None when vacuous
-    t2: int
+    ``result`` is the first pair oriented (smaller, larger) for this
+    outcome, ``second`` the oriented second pair, None when vacuous.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GpcWitness:
-    first: tuple
-    t0: int
-    branches: tuple  # two GpcBranch values, one per outcome
-    strict: bool = False
+class GpcWitness(namedtuple("GpcWitness", "first t0 branches strict", defaults=(False,))):
+    """A gold partition witness: the first pair, e(P) and one GpcBranch per outcome."""
+
+    __slots__ = ()
 
     def holds(self):
         return all(_partition_ok(self.t0, b.t1, b.t2, self.strict) for b in self.branches)

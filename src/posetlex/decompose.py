@@ -7,14 +7,12 @@ found on a (smaller) factor lifts to the whole poset at exact k-multiples,
 which is much cheaper than searching the full comparison grid.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import conjectures, lexsum, linext
+from . import conjectures, lexsum
 from .errors import InvalidWitnessError, SizeCapError
-from .poset import MAX_ELEMENTS, Poset, _bits
+from .poset import MAX_ELEMENTS, _bits, _check_points
 
 #: Largest poset whose autonomous sets are listed: an antichain on n points
 #: has 2^n - n - 2 of them.
@@ -84,7 +82,7 @@ def is_autonomous(poset, members):
     ``members`` must be points of P, in 0..n-1; ValueError otherwise.
     """
     members = list(members)
-    linext._check_points("is_autonomous", poset, *members)
+    _check_points("is_autonomous", poset, *members)
     mask = 0
     for v in members:
         mask |= 1 << v
@@ -118,25 +116,22 @@ def autonomous_sets(poset):
     return [AutonomousSet(tuple(_bits(m))) for m in sorted(found, key=_size_then_mask)]
 
 
-@dataclass(frozen=True)
-class AutonomousSet:
-    members: tuple
+class AutonomousSet(namedtuple("AutonomousSet", "members")):
+    """An autonomous set of P: its ``members``, ascending."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "base index factor members base_elements")):
     """P written as base o_index factor, with maps back into P.
 
     ``members`` are the P-elements contracted into the factor (ascending);
     ``base_elements[j]`` is the P-element that base point j stands for,
-    the contracted point being represented by min(members).
+    the contracted point being represented by min(members).  The field
+    ``index`` hides the tuple method of that name.
     """
 
-    base: Poset
-    index: int
-    factor: Poset
-    members: tuple
-    base_elements: tuple
+    __slots__ = ()
 
 
 def decompose(poset):

@@ -5,13 +5,12 @@ lines (meaning a < b) or a single ``perm v1 ... vn`` line, never both.
 Lines starting with ``#`` and blank lines are ignored.  A text is read in
 one pass; a malformed line raises FormatError naming it (``line 3: ...``),
 and so do a ``perm`` line with a repeated value and the ``rel`` line that
-closes a cycle.
+closes a cycle.  An ``n`` line above ``MAX_ELEMENTS`` raises SizeCapError
+naming it, before any later line is read.
 """
 
-from __future__ import annotations
-
-from .errors import CycleError, DuplicateValueError, PosetError
-from .poset import Poset
+from .errors import CycleError, DuplicateValueError, PosetError, SizeCapError
+from .poset import MAX_ELEMENTS, Poset
 
 
 class FormatError(PosetError):
@@ -44,6 +43,8 @@ def loads(text):
             n = _int(fields[1], lineno)
             if n < 1:
                 raise FormatError(f"line {lineno}: expected a count of at least 1, got {n}")
+            if n > MAX_ELEMENTS:
+                raise SizeCapError(f"line {lineno}: poset size {n} exceeds cap {MAX_ELEMENTS}")
         elif n is None:
             raise FormatError(f"line {lineno}: expected 'n <count>' first, got {tag!r}")
         elif tag == "rel":

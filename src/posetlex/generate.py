@@ -1,9 +1,6 @@
 """Generation of posets: one per isomorphism class, and random sampling."""
 
-from __future__ import annotations
-
 import math
-import random
 
 from .linext import _lattice
 from .poset import Poset, _orbit
@@ -163,7 +160,10 @@ def _profile_orbit(profile, generators):
 
 def random_poset(n, rng=None, edge_probability=0.35):
     """A random poset: closure of a random index-ordered DAG, relabeled."""
-    rng = rng or random.Random()
+    if not rng:
+        import random  # here, not at module load: nothing else samples
+
+        rng = random.Random()
     pairs = [
         (i, j)
         for i in range(n)
@@ -180,7 +180,6 @@ def random_nonchain_poset(n, rng=None, edge_probability=0.35):
     """A random poset guaranteed not to be a chain (n must be at least 2)."""
     if n < 2:
         raise ValueError(f"every poset on n={n} points is a chain")
-    rng = rng or random.Random()
     while True:
         poset = random_poset(n, rng, edge_probability)
         if not poset.is_chain():

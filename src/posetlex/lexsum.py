@@ -6,14 +6,14 @@ On top of the construction sit the facts this package mechanically
 verifies: locality of component labels, the equal-class table whose shape
 proves e(Q) | e(P o_i Q), exact lifting of gold-partition witnesses with
 t' = k*t, preservation of order probabilities inside a component, and the
-closed-form probability after substituting a chain at one point.
+closed-form probability after substituting a chain at one point.  The
+results (``LexSumSpec``, ``LocalityTable``, ``GapProfile``) are immutable
+named tuples, copied with ``_replace``.
 """
-
-from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linext
@@ -26,22 +26,17 @@ from .errors import (
     RemarkViolationError,
 )
 from .conjectures import GpcBranch, GpcWitness, _recount, verify_gpc_witness
-from .poset import Poset, _bits
+from .poset import Poset, _bits, _check_points
 
 
-@dataclass(frozen=True)
-class LexSumSpec:
+class LexSumSpec(namedtuple("LexSumSpec", "base components embed poset trivial")):
     """A lexicographic sum together with its embedding bookkeeping.
 
     ``embed[i][q]`` is the sum element representing local element q of
     component i; components are laid out consecutively in base order.
     """
 
-    base: Poset
-    components: tuple
-    embed: tuple
-    poset: Poset
-    trivial: bool
+    __slots__ = ()
 
     def component_of(self, element):
         for i, block in enumerate(self.embed):
@@ -81,7 +76,7 @@ def compose_at(base, i, component):
 
     An i outside 0..n-1 is a ValueError.
     """
-    linext._check_points("compose_at", base, i)
+    _check_points("compose_at", base, i)
     one = Poset.antichain(1)
     return lex_sum(base, [component if j == i else one for j in range(base.n)])
 
@@ -113,19 +108,16 @@ def restrict_to_component(spec, extension, i):
     return tuple(sorted(range(len(values)), key=values.__getitem__))
 
 
-@dataclass(frozen=True)
-class LocalityTable:
+class LocalityTable(namedtuple("LocalityTable", "spec columns packed k total")):
     """L(P o_i Q) organized as equal-size classes, one per order of Q.
 
-    The classes are kept packed as ``_descend`` yields them, rank r of
-    element x as ``r << 8*x``; ``classes`` unpacks them on first read.
+    ``columns`` lists the local orders of Q in enumeration order, ``k`` is
+    the common class size and ``total`` e of the sum.  The classes are
+    kept packed as ``_descend`` yields them, ``packed`` mapping a column to
+    its extensions of the sum, rank r of element x as ``r << 8*x``;
+    ``classes`` unpacks them on first read and keeps them in the instance
+    dict.
     """
-
-    spec: LexSumSpec
-    columns: tuple  # local orders of Q, in enumeration order
-    packed: dict  # column -> list of packed extensions of the sum
-    k: int  # common class size
-    total: int  # e of the sum
 
     @functools.cached_property
     def classes(self):
@@ -287,8 +279,7 @@ def multiset_coefficient(y, x):
     return math.comb(y + x - 1, x)
 
 
-@dataclass(frozen=True)
-class GapProfile:
+class GapProfile(namedtuple("GapProfile", "poset point classes")):
     """L(P) partitioned by the reinsertion gap around a distinguished point.
 
     Each class collects the extensions that agree away from the point;
@@ -296,9 +287,7 @@ class GapProfile:
     to its gap count k, so the class holds exactly k + 1 extensions.
     """
 
-    poset: Poset
-    point: int
-    classes: dict
+    __slots__ = ()
 
     def total(self):
         return sum(k + 1 for k in self.classes.values())
@@ -323,7 +312,7 @@ def gap_profile(poset, point):
     outside 0..n-1 is a ValueError, raised before any count; the pass is
     capped at ``linext.DEFAULT_ENUM_CAP`` extensions (CapExceededError).
     """
-    linext._check_points("gap_profile", poset, point)
+    _check_points("gap_profile", poset, point)
     total = linext._check_cap(poset, linext.DEFAULT_ENUM_CAP)
     below = tuple(_bits(poset.below_mask(point)))
     above = tuple(_bits(poset.above_mask(point)))
@@ -354,7 +343,7 @@ def chain_substitution_probability(poset, point, m, x, y):
     ``point`` is a ValueError, raised before any count; the profile is
     capped at ``linext.DEFAULT_ENUM_CAP`` extensions.
     """
-    linext._check_points("chain_substitution_probability", poset, point, x, y)
+    _check_points("chain_substitution_probability", poset, point, x, y)
     if m < 1:
         raise ValueError(f"chain_substitution_probability needs m >= 1, got {m}")
     if x == point or y == point or x == y:

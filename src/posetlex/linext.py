@@ -25,44 +25,42 @@ extends and y lies in; the sums for every y are carried in one integer per
 x, a field per y.  A ``PairCountMatrix`` keeps those packed columns as they
 are: callers read single fields in place, and the unpacked ``counts`` are
 built only when read.  The matrices of P and of the outcomes ``check_gpc``
-reads are kept on the Poset too (``_kept_matrix``).  All probabilities are
+reads are kept on the Poset too (``_kept_matrix``).  ``LinearExtension``
+and ``PairCountMatrix`` are immutable named tuples.  All probabilities are
 `fractions.Fraction`; floats never enter a comparison.
 """
-
-from __future__ import annotations
 
 import functools
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapExceededError, ChainError
-from .poset import MAX_ELEMENTS
+from .poset import MAX_ELEMENTS, _check_points
 
 #: Default ceiling on e(P) for explicit enumeration of L(P), sized from
-#: memory: ``enumerate_extensions`` peaks at about 165 bytes per extension
-#: of an 8-point antichain, and ``locality_table`` at 89-177 bytes per
+#: memory: ``enumerate_extensions`` peaks at about 182 bytes per extension
+#: of an 8-point antichain, and ``locality_table`` at 89-178 bytes per
 #: extension of the sums A_7 o_0 A_2 and A_2 o_0 A_7 (tracemalloc, 40,320
 #: extensions each, A_m the m-point antichain), so a call at the cap needs
 #: about 90-180 MB.  Reading a table's ``classes`` adds the unpacked
-#: extensions to the packed ones: 202-229 bytes per extension in all.
+#: extensions to the packed ones: 218-245 bytes per extension in all.
 DEFAULT_ENUM_CAP = 10**6
 
 #: _WIDTH[n] bits hold n!, which bounds every count on n points.
 _WIDTH = [math.factorial(n).bit_length() for n in range(MAX_ELEMENTS + 1)]
 
 
-@dataclass(frozen=True, slots=True)
-class LinearExtension:
+class LinearExtension(namedtuple("LinearExtension", "labels")):
     """A bijective order-preserving labeling of a poset into 1..n.
 
     ``labels[e]`` is the rank of element e.  ``order`` lists the elements
     by increasing rank.
     """
 
-    labels: tuple
+    __slots__ = ()
 
     @classmethod
     def from_order(cls, order):
@@ -81,19 +79,14 @@ class LinearExtension:
         )
 
 
-@dataclass(frozen=True)
-class PairCountMatrix:
+class PairCountMatrix(namedtuple("PairCountMatrix", "columns width total")):
     """The number of extensions placing x before y, for every pair; total = e(P).
 
     Kept packed as ``_matrix`` builds it: ``columns[y]`` holds
     #(x before y) in field x, ``width`` bits wide.  ``before`` reads one
-    field in place; ``counts`` unpacks the whole matrix on first read,
-    ``counts[x][y]`` = #(x before y).
+    field in place; ``counts`` unpacks the whole matrix on first read and
+    keeps it in the instance dict, ``counts[x][y]`` = #(x before y).
     """
-
-    columns: tuple
-    width: int
-    total: int
 
     def before(self, x, y):
         """#(x before y): field x of column y."""
@@ -156,13 +149,6 @@ def _check_cap(poset, cap):
     if total > cap:
         raise CapExceededError(f"e(P) = {total} exceeds enumeration cap {cap}")
     return total
-
-
-def _check_points(name, poset, *points):
-    """ValueError naming every one of ``points`` outside 0..n-1."""
-    outside = [v for v in points if not 0 <= v < poset.n]
-    if outside:
-        raise ValueError(f"{name} needs points in 0..{poset.n - 1}, got {outside}")
 
 
 def _unpack(packed, n, head=0):

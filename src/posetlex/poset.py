@@ -23,8 +23,6 @@ works on the quotient by twin classes (``Poset.twin_classes``) and
 canonizes that by individualization-refinement over bitmask partitions.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 
@@ -46,6 +44,13 @@ def _check_size(n):
         raise ZeroSizeError("poset needs at least one element")
     if n > MAX_ELEMENTS:
         raise SizeCapError(f"poset size {n} exceeds cap {MAX_ELEMENTS}")
+
+
+def _check_points(name, poset, *points):
+    """ValueError naming every one of ``points`` outside 0..n-1."""
+    outside = [v for v in points if not 0 <= v < poset.n]
+    if outside:
+        raise ValueError(f"{name} needs points in 0..{poset.n - 1}, got {outside}")
 
 
 def _close(n, rows):
@@ -217,8 +222,12 @@ class Poset:
         return Poset(self.n, self._gt, _trusted=True, _gt=self.lt)
 
     def induced(self, elements):
-        """Subposet on the given elements, relabeled in the order given."""
+        """Subposet on the given elements, relabeled in the order given.
+
+        An element outside 0..n-1 is a ValueError.
+        """
         elements = list(elements)
+        _check_points("induced", self, *elements)
         places = {}  # element -> bitmask of its positions in ``elements``
         for j, a in enumerate(elements):
             places[a] = places.get(a, 0) | 1 << j
@@ -232,7 +241,12 @@ class Poset:
         return Poset(len(elements), rows, _trusted=True)
 
     def relabel(self, perm):
-        """Image under the bijection old -> perm[old]."""
+        """Image under the bijection old -> perm[old].
+
+        A ``perm`` that is not a permutation of 0..n-1 is a ValueError.
+        """
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}, got {list(perm)}")
         rows = [0] * self.n
         for a, row in enumerate(self.lt):
             rows[perm[a]] = _image(row, perm)

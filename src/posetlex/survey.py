@@ -1,9 +1,7 @@
 """Exhaustive desk-scale sweeps over all small posets, one per isomorphism class."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import conjectures, linext
 from .errors import PosetError, SizeCapError, ZeroSizeError
@@ -19,16 +17,16 @@ CLASSES = (1, 2, 5, 16, 63, 318, 2045, 16999, 183231, 2567284)
 LABELED = (1, 3, 19, 219, 4231, 130023, 6129859, 431723379, 44511042511, 6611065248783)
 
 
-@dataclass
-class SweepSummary:
-    max_n: int
-    mode: str
-    total: int = 0
-    chains: int = 0
-    checked: int = 0
-    gpc_failures: list = field(default_factory=list)
-    one_third_failures: list = field(default_factory=list)
-    unbalanced_witnesses: list = field(default_factory=list)
+class SweepSummary(
+    namedtuple(
+        "SweepSummary",
+        "max_n mode total chains checked gpc_failures one_third_failures unbalanced_witnesses",
+    )
+):
+    """What ``sweep`` found: ``total``, ``chains`` and ``checked`` count
+    labeled posets, and each failure list holds one poset per failing class."""
+
+    __slots__ = ()
 
     @property
     def clean(self):
@@ -66,33 +64,37 @@ def sweep(max_n, mode="adaptive", strict=False):
         raise ZeroSizeError(f"sweep needs at least 1 element, got {max_n}")
     if max_n > SWEEP_CAP:
         raise SizeCapError(f"sweep capped at {SWEEP_CAP} elements")
-    summary, adaptive = SweepSummary(max_n, mode), mode == "adaptive"
+    adaptive = mode == "adaptive"
+    total = chains = checked = 0
+    gpc_failures, one_third_failures, unbalanced = [], [], []
     classes, labeled = [0] * max_n, [0] * max_n
     for poset, automorphisms in poset_classes(max_n):
         labelings = math.factorial(poset.n) // automorphisms
-        summary.total += labelings
+        total += labelings
         classes[poset.n - 1] += 1
         labeled[poset.n - 1] += labelings
         if poset.is_chain():
-            summary.chains += labelings
+            chains += labelings
             continue
-        summary.checked += labelings
+        checked += labelings
         found = conjectures._search(poset, adaptive, strict)
         balanced = False
         if found is None:
-            summary.gpc_failures.append(poset)
+            gpc_failures.append(poset)
         else:
             # P(first pair) is t1/t0, with found = (a, b, t0, t1, ...).
             balanced = linext._balanced(found[3], found[2])
             if not balanced:
-                summary.unbalanced_witnesses.append(poset)
+                unbalanced.append(poset)
         # A balanced first pair is a balanced pair; search only without one.
         if not balanced and linext.balanced_pair(poset) is None:
-            summary.one_third_failures.append(poset)
+            one_third_failures.append(poset)
     for n in range(max_n):
         if (classes[n], labeled[n]) != (CLASSES[n], LABELED[n]):
             raise PosetError(
                 f"sweep met {classes[n]} classes and {labeled[n]} labeled posets on"
                 f" {n + 1} points; OEIS A000112 and A001035 give {CLASSES[n]} and {LABELED[n]}"
             )
-    return summary
+    return SweepSummary(
+        max_n, mode, total, chains, checked, gpc_failures, one_third_failures, unbalanced
+    )

@@ -1,6 +1,5 @@
 """Gold partition witnesses, sorting cost, and the golden-ratio bound."""
 
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -459,18 +458,18 @@ def _tampered(draw):
     count = st.integers(0, witness.t0 + 2)
     field = draw(st.sampled_from(["t0", "t1", "t2", "first", "second"]))
     if field == "t0":
-        return poset, dataclasses.replace(witness, t0=draw(count))
+        return poset, witness._replace(t0=draw(count))
     if field == "first":
-        return poset, dataclasses.replace(witness, first=draw(pair))
+        return poset, witness._replace(first=draw(pair))
     i = draw(st.integers(0, 1))
     branch = witness.branches[i]
     if field == "second":
-        branch = dataclasses.replace(branch, second=draw(st.one_of(st.none(), pair)))
+        branch = branch._replace(second=draw(st.one_of(st.none(), pair)))
     else:
-        branch = dataclasses.replace(branch, **{field: draw(count)})
+        branch = branch._replace(**{field: draw(count)})
     branches = list(witness.branches)
     branches[i] = branch
-    return poset, dataclasses.replace(witness, branches=tuple(branches))
+    return poset, witness._replace(branches=tuple(branches))
 
 
 @settings(max_examples=120, deadline=None)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from posetlex import Poset, count_extensions, files, linext
 from posetlex.cli import EXIT_ERROR, EXIT_OK, main
+from posetlex.errors import SizeCapError
 from posetlex.files import FormatError
 from posetlex.generate import random_nonchain_poset, random_poset
 
@@ -46,6 +47,8 @@ def test_loads_errors():
         files.loads("n 0\n")
     with pytest.raises(FormatError, match=r"^line 1: expected a count of at least 1, got -2$"):
         files.loads("n -2\nrel 0 1\n")
+    with pytest.raises(SizeCapError, match=r"^line 2: poset size 30 exceeds cap 24$"):
+        files.loads("# big\nn 30\nwat\n")  # fails at the n line, before the bad tag
     with pytest.raises(FormatError, match=r"^line 3: relation \(0,5\) out of range for n=2$"):
         files.loads("n 2\nrel 0 1\nrel 0 5\n")
     with pytest.raises(FormatError, match=r"^line 1: expected 'n <count>' first, got 'rel'$"):

@@ -1,6 +1,5 @@
 """Lexicographic sums: construction, locality, lifting, gap profiles."""
 
-import dataclasses
 import hashlib
 import random
 import re
@@ -172,7 +171,7 @@ def test_locality_table_checks_locality(monkeypatch, dropped, side):
     base, component = Poset.chain(3), Poset.antichain(2)  # sum: 0 < {1, 2} < 3
     spec = compose_at(base, 1, component)
     pairs = [pair for pair in spec.poset.relation_pairs() if pair != dropped]
-    broken = dataclasses.replace(spec, poset=Poset.from_relations(4, pairs))
+    broken = spec._replace(poset=Poset.from_relations(4, pairs))
     monkeypatch.setattr(lexsum, "compose_at", lambda *args: broken)
     with pytest.raises(RemarkViolationError, match=f"^{side}$"):
         locality_table(base, 1, component)
@@ -183,7 +182,7 @@ def test_locality_table_checks_columns(monkeypatch):
     not a linear extension of Q."""
     base, component = Poset.chain(2), Poset.chain(2)  # sum: 0 < 1 < 2
     spec = compose_at(base, 1, component)
-    broken = dataclasses.replace(spec, poset=Poset.from_relations(3, [(0, 1), (0, 2)]))
+    broken = spec._replace(poset=Poset.from_relations(3, [(0, 1), (0, 2)]))
     monkeypatch.setattr(lexsum, "compose_at", lambda *args: broken)
     with pytest.raises(PosetError, match=r"^restriction \(1, 0\) is not a linear extension of Q$"):
         locality_table(base, 1, component)
@@ -193,7 +192,7 @@ def _dropped(spec, pair):
     """``spec`` with ``pair`` missing from its sum, or None if it stays implied."""
     pairs = [other for other in spec.poset.relation_pairs() if other != pair]
     poset = Poset.from_relations(spec.poset.n, pairs)
-    return None if poset.is_lt(*pair) else dataclasses.replace(spec, poset=poset)
+    return None if poset.is_lt(*pair) else spec._replace(poset=poset)
 
 
 def _first_fault(spec, i, component):

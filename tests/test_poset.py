@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,22 @@ def test_induced_and_relabel(n_poset):
     perm = [3, 2, 1, 0]
     r = n_poset.relabel(perm)
     assert r.is_lt(3, 1) and r.is_lt(2, 1) and r.is_lt(2, 0)
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 5]])
+def test_relabel_rejects_a_non_permutation(perm):
+    """A repeated, missing or out-of-range image is a ValueError naming
+    ``perm``, not a wrong order or an IndexError."""
+    message = f"relabel needs a permutation of 0..2, got {perm}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Poset.chain(3).relabel(perm)
+
+
+@pytest.mark.parametrize("elements, outside", [([0, 7], [7]), ([0, -1], [-1]), ([3, 1, 9], [3, 9])])
+def test_induced_rejects_points_outside(elements, outside):
+    message = f"induced needs points in 0..2, got {outside}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Poset.chain(3).induced(elements)
 
 
 def test_covers_skip_transitive_edges():
