@@ -165,9 +165,9 @@ def gpc_via_decomposition(poset, strict=False):
 
     That factor holds no smaller one, so it is searched directly.  The
     direct search on P answers when there is no such factor, the factor
-    has no witness, or the lift breaks the inequality (under ``strict``, a
-    factor with e = 2 ties it), so the result is None exactly when
-    ``check_gpc`` is.
+    has no witness, or the lift breaks the inequality (a guard only: under
+    ``strict`` too, ``lift_witness`` mends the one tie a factor's witness
+    can lift to), so the result is None exactly when ``check_gpc`` is.
     """
     chosen = _smallest(poset, True)
     if chosen is not None:

@@ -25,7 +25,14 @@ from .errors import (
     PosetError,
     RemarkViolationError,
 )
-from .conjectures import GpcBranch, GpcWitness, _recount, verify_gpc_witness
+from .conjectures import (
+    GpcBranch,
+    GpcWitness,
+    _partition_ok,
+    _recount,
+    _stays_incomparable,
+    verify_gpc_witness,
+)
 from .poset import Poset, _bits, _check_points
 
 
@@ -215,9 +222,12 @@ def lift_witness(sum_poset, mapping, component, witness):
     ``verify_gpc_witness`` uses, one packed pass over the sum's lattice of
     ideals (``conjectures._recount``), and checked to be exactly k times
     the component value, k = e(sum) / t0; a chain outcome's vacuous t2
-    lifts to t1 once k > 1.  A lifted witness that breaks the inequality
-    raises InvalidWitnessError.  A nonadaptive witness need not lift to one:
-    Q = {0 < 2, 1} has one, R = {0 < 1 < 3, 0 < 2} o_0 Q has none.
+    lifts to t1 once k > 1.  Under ``strict`` that ties t0 = t1 + t2 when
+    t0 = 2k, so such a branch records instead the first pair of the sum
+    that its result leaves incomparable, counted in the same pass.  A
+    lifted witness that breaks the inequality raises InvalidWitnessError.
+    A nonadaptive witness need not lift to one: Q = {0 < 2, 1} has one,
+    R = {0 < 1 < 3, 0 < 2} o_0 Q has none.
     """
     if not verify_gpc_witness(component, witness):
         raise InvalidWitnessError("witness fails re-verification on the component")
@@ -227,6 +237,15 @@ def lift_witness(sum_poset, mapping, component, witness):
 
     results = [lift(branch.result) for branch in witness.branches]
     seconds = [branch.second and lift(branch.second) for branch in witness.branches]
+    if witness.strict:
+        # A spare second pair for each vacuous branch, in case its lifted t2
+        # ties the strict inequality: the first pair of the sum left
+        # incomparable by the branch's result, None when there is none.
+        pairs = sum_poset._kept_pairs()
+        seconds = [
+            second or next((p for p in pairs if _stays_incomparable(sum_poset, *r, *p)), None)
+            for r, second in zip(results, seconds)
+        ]
     e_sum, counts = _recount(sum_poset, results, seconds)
     if e_sum % witness.t0:
         raise PosetError("e(component) does not divide e(sum)")
@@ -235,11 +254,15 @@ def lift_witness(sum_poset, mapping, component, witness):
     for result, second, branch, (t1, t2) in zip(results, seconds, witness.branches, counts):
         if t1 != k * branch.t1:
             raise PosetError("lifted t1 is not k * t1")
-        if second is None:
+        if branch.second is None:
             # A chain outcome of the component (t1 = 1) lifts to k extensions:
             # while k > 1 some comparison is left, leaving at most t1 of them,
             # so its vacuous t2, 0 under the strict reading, does not scale.
-            t2 = t1 if branch.t1 == 1 < t1 else k * branch.t2
+            # Where t2 = t1 breaks the inequality, the spare pair is taken:
+            # it splits the k extensions, so its t2 is at most k - 1.
+            vacuous = t1 if branch.t1 == 1 < t1 else k * branch.t2
+            if second is None or _partition_ok(e_sum, t1, vacuous, witness.strict):
+                second, t2 = None, vacuous
         elif t2 != k * branch.t2:
             raise PosetError("lifted t2 is not k * t2")
         branches.append(GpcBranch(result, t1, second, t2))

@@ -4,21 +4,24 @@ Everything runs on the lattice of down-sets (order ideals): a linear
 extension is a maximal chain from the empty ideal to the full ground set
 (De Loof, De Meyer & De Baets, "Exploiting the lattice of ideals
 representation of a poset", Fundam. Inform. 71, 2006).
-``count_extensions`` counts the chains in its own level-by-level pass over
-ideal bitmasks.  Everything else runs on P's lattice, built once per Poset
-and kept on it (``_lattice``) as flat step arrays: one entry per step, its
-source ideal, target ideal and added element, in three packed arrays.
-Every counting pass is one loop over the three zipped, forward or
-reversed.  Enumeration is one top-down pass over the lattice:
-each ideal's completions are its successors' completions with the element
-added, packed one label per byte of an int.  Counts of outcomes need no
-outcome poset: the ideals of P + a<b are the ideals of P that hold a
-whenever they hold b, so any outcome of comparisons is P's lattice with the
-steps it forbids dropped.  ``_matrix`` counts one outcome with its own
-forward loop; ``_down`` packs several outcomes into one pass for
-``_counts``, which is how witnesses are recounted: each ideal holds one
-integer with a field per outcome, and a step masks out the fields of the
-outcomes that forbid it.  Pair probabilities come from a single pass: the
+``count_extensions`` reads e(P) off P's kept pair-count matrix when
+``pair_counts`` (and so ``check_gpc``, ``delta``, ``balanced_pair`` or
+``sort_cost``) has kept one; otherwise it counts the chains in its own
+level-by-level pass over ideal bitmasks and keeps nothing.  Witness
+recounts (``_counts``) never read a kept matrix.  Everything else runs on
+P's lattice, built once per Poset and kept on it (``_lattice``) as flat
+step arrays: one entry per step, its source ideal, target ideal and added
+element, in three packed arrays.  Every counting pass is one loop over the
+three zipped, forward or reversed.  Enumeration is one top-down pass over
+the lattice: each ideal's completions are its successors' completions
+with the element added, packed one label per byte of an int.  Counts of
+outcomes need no outcome poset: the ideals of P + a<b are the ideals of
+P that hold a whenever they hold b, so any outcome of comparisons is P's
+lattice with the steps it forbids dropped.  ``_matrix`` counts one outcome
+with its own forward loop; ``_down`` packs several outcomes into one pass
+for ``_counts``, which is how witnesses are recounted: each ideal holds
+one integer with a field per outcome, and a step masks out the fields of
+the outcomes that forbid it.  Pair probabilities come from a single pass: the
 forward pass counts down(I) = e(P|I), a backward pass up(I) = e(P|rest),
 and #(y before x) is the sum of down(I)*up(I+x) over the ideals I that x
 extends and y lies in; the sums for every y are carried in one integer per
@@ -125,7 +128,14 @@ def _forward(poset):
 
 
 def count_extensions(poset):
-    """Exact e(P): the forward pass's count at the full ideal."""
+    """Exact e(P): the total of P's kept pair-count matrix, when one is kept.
+
+    Otherwise the forward pass's count at the full ideal: a count-only call
+    keeps nothing and builds no lattice.
+    """
+    kept = poset._pair_counts
+    if kept and () in kept:
+        return kept[()].total
     for level in _forward(poset):
         pass
     return level[(1 << poset.n) - 1]

@@ -13,9 +13,10 @@ in ``_lattice`` (structure only, never a count); and
 ``linext._kept_matrix`` keeps in ``_pair_counts`` a dict from ``given``,
 a tuple of comparisons, to the pair-count matrix of P + given, its counts
 packed in one integer column per point: ``()`` for P's own, which
-``pair_counts`` reads, and one entry per outcome P + a<b that
-``check_gpc`` reads.  A poset derived from another, such as an outcome of
-``with_relation``, starts with none of them.
+``pair_counts`` reads and whose total ``count_extensions`` returns as
+e(P), and one entry per outcome P + a<b that ``check_gpc`` reads.  A
+poset derived from another, such as an outcome of ``with_relation``,
+starts with none of them.
 
 ``Poset.canonical_form`` gives every poset up to ``MAX_ELEMENTS`` points a
 key that is equal exactly across isomorphic posets, with |Aut(P)|.  It

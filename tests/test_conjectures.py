@@ -404,6 +404,23 @@ def test_verify_is_one_pass(monkeypatch):
     assert passes == [poset] and matrices == []
 
 
+def test_verify_never_reads_a_kept_matrix(monkeypatch):
+    """The recount stays independent of the search's kept matrices, P's own
+    included, though ``count_extensions`` would read e(P) off it."""
+    poset = files.load(POSETS_DIR / "p163425.poset")
+    witness = check_gpc(poset)
+    linext.pair_counts(poset)
+
+    def kept(*args):
+        raise AssertionError("verify_gpc_witness read a kept matrix")
+
+    monkeypatch.setattr(linext, "_kept_matrix", kept)
+    monkeypatch.setattr(linext, "count_extensions", kept)
+    assert verify_gpc_witness(poset, witness)
+    forged = witness._replace(t0=witness.t0 + 1)
+    assert not verify_gpc_witness(poset, forged)
+
+
 def _brute_verdict(poset, witness):
     """``verify_gpc_witness``'s verdict, from the filtered extensions of P.
 

@@ -195,7 +195,8 @@ def test_gpc_via_decomposition_rejects_non_bool_strict(poset):
 
 def test_gpc_via_decomposition_strict_antichain():
     # the factor {0, 1} has t0 = 2 and vacuous branches; lifted by k = 3
-    # they tie t0 = t1 + t2 = 6, so the direct search answers
+    # they would tie t0 = t1 + t2 = 6, so the lift records the first pair
+    # each result leaves incomparable, as the direct search does
     p = Poset.antichain(3)
     w = gpc_via_decomposition(p, strict=True)
     assert w == check_gpc(p, strict=True)

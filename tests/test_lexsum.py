@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from posetlex import (
     Poset,
+    autonomous_sets,
     chain_substitution_probability,
     check_gpc,
     compose_at,
@@ -39,7 +40,7 @@ from posetlex.errors import (
     RemarkViolationError,
 )
 from posetlex import lexsum, linext
-from posetlex.generate import random_nonchain_poset, random_poset
+from posetlex.generate import poset_classes, random_nonchain_poset, random_poset
 from posetlex.linext import LinearExtension
 
 from conftest import (
@@ -366,6 +367,51 @@ def test_lift_witness_counts_once_per_comparison(monkeypatch, n_poset, relations
     # every count runs on the lattice of Q or of the sum; Q's came with w
     assert builds == [spec.poset]
     assert lifted.t0 == count_extensions(spec.poset)
+
+
+def test_strict_lift_mends_vacuous_tie(monkeypatch):
+    """Q = A_2 has t0 = 2 and two vacuous branches; lifted into A_3 by
+    k = 3 each would tie t0 = t1 + t2 = 6, so each records the first pair
+    its result leaves incomparable, counted in the sum's one pass."""
+    q, r = Poset.antichain(2), Poset.antichain(3)
+    w = check_gpc(q, strict=True)
+    assert [b.second for b in w.branches] == [None, None]
+    calls = []
+    counts = lexsum.linext._counts
+
+    def counted(poset, givens):
+        calls.append(poset)
+        return counts(poset, givens)
+
+    monkeypatch.setattr(lexsum.linext, "_counts", counted)
+    lifted = lift_witness(r, (0, 1), q, w)
+    assert calls == [q, r]
+    assert lifted.t0 == 6 and [(b.t1, b.second, b.t2) for b in lifted.branches] == [
+        (3, (0, 2), 2),
+        (3, (0, 2), 2),
+    ]
+    assert verify_gpc_witness(r, lifted)
+
+
+@pytest.mark.parametrize("strict, pins", [(False, (1322, 1322, 0)), (True, (1322, 1169, 153))])
+def test_theorem_on_every_class_to_six_points(strict, pins):
+    """The paper's theorem: a witness of Q lifts to one of P o_i Q.  Every
+    class R on at most 6 points with a proper autonomous set M inducing a
+    non-chain Q = R|M is such a sum; each of Q's witnesses must lift."""
+    instances = lifted = unwitnessed = 0
+    for r, _ in poset_classes(6):
+        for members in autonomous_sets(r):
+            q = r.induced(members.members)
+            if q.is_chain():
+                continue
+            instances += 1
+            witness = check_gpc(q, strict=strict)
+            if witness is None:
+                unwitnessed += 1
+                continue
+            assert verify_gpc_witness(r, lift_witness(r, members.members, q, witness))
+            lifted += 1
+    assert (instances, lifted, unwitnessed) == pins
 
 
 def test_lift_rejects_invalid_witness(n_poset):

@@ -441,11 +441,26 @@ def test_degenerate_givens_match_brute_force(poset, i, j):
         assert [list(row) for row in matrix.counts] == brute_pair_counts(poset, kept) == counts
 
 
-def test_count_extensions_runs_its_own_pass(monkeypatch, n_poset):
-    pair_counts(n_poset)
+def test_count_extensions_reads_kept_total_or_runs_its_own_pass(monkeypatch, n_poset):
+    """A fresh poset gets one forward pass and no lattice; once P's matrix
+    is kept, e(P) is its total, read with no pass."""
     passes = _count_passes(monkeypatch)
     assert count_extensions(n_poset) == 5
-    assert passes == [n_poset]
+    assert passes == [n_poset] and n_poset._lattice is None
+    assert n_poset._pair_counts is None
+    pair_counts(n_poset)
+    passes.clear()
+    assert count_extensions(n_poset) == 5 == pair_counts(n_poset).total
+    assert passes == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(posets(7), twin_heavy_posets(7)))
+def test_count_extensions_before_and_after_pair_counts(poset):
+    expected = brute_count(poset)
+    assert count_extensions(poset) == expected
+    pair_counts(poset)
+    assert count_extensions(poset) == expected
 
 
 @st.composite
