@@ -32,12 +32,13 @@ def _span(poset, mask, limit=MAX_ELEMENTS):
     past ``limit`` elements is returned as it stands: its span is at least
     as large, and only its size is read.
     """
+    above, below = poset.lt, poset._gt
     some_up = some_down = 0
     every_up = every_down = -1  # no members yet: every bit
     new = mask
     while new:
         for v in _bits(new):
-            up, down = poset.above_mask(v), poset.below_mask(v)
+            up, down = above[v], below[v]
             some_up |= up
             every_up &= up
             some_down |= down
@@ -47,6 +48,22 @@ def _span(poset, mask, limit=MAX_ELEMENTS):
         if mask.bit_count() > limit:
             return mask
     return mask
+
+
+def _covered(poset):
+    """Whether P has an autonomous set of 2..n-1 points inducing a non-chain.
+
+    A twin class of 2 or more points, but not all of them, is one (twins
+    are incomparable).  Otherwise any such set holds an incomparable pair,
+    and so the pair's span, which is then smaller than P; the spans are
+    tried pair by pair, each stopped once it fills P.
+    """
+    n = poset.n
+    if 1 < len(set(zip(poset.lt, poset._gt))) < n:
+        return True
+    return any(
+        _span(poset, 1 << a | 1 << b, n - 1).bit_count() < n for a, b in poset._kept_pairs()
+    )
 
 
 def _size_then_mask(mask):

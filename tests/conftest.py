@@ -341,6 +341,19 @@ def brute_autonomous_sets(poset):
     return out
 
 
+def brute_covered(poset):
+    """Whether some autonomous set of 2..n-1 elements induces a non-chain."""
+    return any(
+        brute_is_autonomous(poset, members)
+        for size in range(2, poset.n)
+        for members in itertools.combinations(range(poset.n), size)
+        if any(
+            not (poset.is_lt(a, b) or poset.is_lt(b, a))
+            for a, b in itertools.combinations(members, 2)
+        )
+    )
+
+
 def brute_width(poset):
     """Dilworth: n minus a maximum matching of the comparability DAG."""
     n = poset.n

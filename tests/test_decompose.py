@@ -19,9 +19,16 @@ from posetlex import (
     verify_gpc_witness,
 )
 from posetlex import compose_at
+from posetlex.decompose import _covered
 from posetlex.errors import SizeCapError
 
-from conftest import brute_autonomous_sets, brute_is_autonomous, posets
+from conftest import (
+    brute_autonomous_sets,
+    brute_covered,
+    brute_is_autonomous,
+    posets,
+    twin_heavy_posets,
+)
 
 
 def test_is_autonomous_basic():
@@ -118,6 +125,13 @@ def test_autonomous_sets_and_decompose_match_subset_oracle(poset):
     ]
     assert split.members == (nonchain or oracle)[0]
     assert _rebuilds(poset, split)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(posets(7), twin_heavy_posets(7), _relabeled_sums()))
+def test_covered_matches_subset_oracle(poset):
+    """The sweep's cover test: an autonomous set of 2..n-1 points inducing a non-chain."""
+    assert _covered(poset) == brute_covered(poset)
 
 
 def test_decompose_has_no_size_cap():

@@ -12,7 +12,7 @@ from posetlex import GpcWitness, Poset, PosetError, SizeCapError, ZeroSizeError,
 from posetlex import generate, linext, poset as poset_module, survey, sweep
 from posetlex.generate import poset_classes, random_nonchain_poset
 
-from conftest import brute_automorphisms, labeled_posets
+from conftest import brute_automorphisms, brute_covered, labeled_posets
 
 #: Labeled posets on n = 1..6 points (OEIS A001035).
 LABELED = (1, 3, 19, 219, 4231, 130023)
@@ -213,6 +213,59 @@ def test_sweep_searches_balanced_pairs_only_without_a_balanced_witness(monkeypat
     assert len(searched) == 20
 
 
+def _recording_search(monkeypatch, fails=()):
+    """Patch ``_search`` to record each poset it is called on, and to find
+    no witness on the posets in ``fails``; returns the record."""
+    searched = []
+    search = conjectures._search
+
+    def recorded(poset, adaptive, strict):
+        searched.append(poset)
+        return None if poset in fails else search(poset, adaptive, strict)
+
+    monkeypatch.setattr(conjectures, "_search", recorded)
+    return searched
+
+
+def test_sweep_searches_only_classes_the_theorem_leaves(monkeypatch):
+    """Adaptive non-strict ``sweep(7)`` searches the 528 non-chain classes
+    with no autonomous set of 2..n-1 points inducing a non-chain; each of
+    the 1,915 it skips passes ``check_gpc`` with a balanced first pair, as
+    the paper's theorem says."""
+    searched = _recording_search(monkeypatch)
+    assert sweep(7).to_json_dict() == {**SWEEP_7, "mode": "adaptive", "gpc_failures": 0}
+    monkeypatch.undo()
+    covered, left = [], []
+    for poset, _ in poset_classes(7):
+        if not poset.is_chain():
+            (covered if brute_covered(poset) else left).append(poset)
+    assert searched == left
+    assert (len(left), len(covered)) == (528, 1915)
+    for poset in covered:
+        witness = conjectures.check_gpc(poset)
+        assert witness is not None
+        assert linext._balanced(witness.branches[0].t1, witness.t0)
+
+
+@pytest.mark.parametrize(
+    "failing, searches",
+    [(Poset.antichain(2), 82), (Poset.from_relations(4, [(0, 2), (1, 2), (1, 3)]), 74)],
+    ids=["antichain2", "N"],
+)
+def test_sweep_searches_every_class_after_a_failure(monkeypatch, failing, searches):
+    """Covered classes are skipped only while no class has failed: from the
+    first failure on, every non-chain class is searched."""
+    non_chains = [p for p, _ in poset_classes(5) if not p.is_chain()]
+    keys = [p.canonical_key() for p in non_chains]
+    first = keys.index(failing.canonical_key())
+    searched = _recording_search(monkeypatch, fails=(non_chains[first],))
+    summary = sweep(5)
+    assert summary.gpc_failures == [non_chains[first]] and not summary.clean
+    before = [p for p in non_chains[:first] if not brute_covered(p)]
+    assert searched == before + non_chains[first:]
+    assert len(searched) == searches  # of the 82 non-chain classes on <= 5 points
+
+
 @pytest.mark.parametrize("max_n", [1, 3])
 @pytest.mark.parametrize(
     "options, message",
@@ -240,8 +293,10 @@ def test_sweep_rejects_bad_options_before_generating(monkeypatch, max_n, options
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("mode", ["adaptive", "nonadaptive"])
 def test_sweep_reads_check_gpc_search(monkeypatch, mode, strict):
-    """What ``sweep`` reads off each class is ``check_gpc``'s witness: the
-    first pair, t0 and the first branch's t1, or None for both."""
+    """What ``sweep`` reads off each class it searches is ``check_gpc``'s
+    witness: the first pair, t0 and the first branch's t1, or None for
+    both.  Adaptive non-strict sweeps search only the classes that the
+    paper's theorem does not cover; the other settings search them all."""
     seen = []
     search = conjectures._search
 
@@ -254,7 +309,11 @@ def test_sweep_reads_check_gpc_search(monkeypatch, mode, strict):
     sweep(6, mode=mode, strict=strict)
     monkeypatch.setattr(conjectures, "_search", search)  # check_gpc's own calls unrecorded
     non_chains = [p for p, _ in poset_classes(6) if not p.is_chain()]
-    assert [poset for poset, *_ in seen] == non_chains and len(non_chains) == 399
+    assert len(non_chains) == 399
+    if mode == "adaptive" and not strict:
+        non_chains = [p for p in non_chains if not brute_covered(p)]
+        assert len(non_chains) == 72
+    assert [poset for poset, *_ in seen] == non_chains
     for poset, adaptive, searched_strict, found in seen:
         assert (adaptive, searched_strict) == (mode == "adaptive", strict)
         witness = conjectures.check_gpc(poset, mode=mode, strict=strict)
