@@ -67,7 +67,9 @@ def _partition_ok(t0, t1, t2, strict):
 
 def _incomparable(poset, c, d):
     """Whether c and d are two points of P, incomparable in it."""
-    return 0 <= c < poset.n and 0 <= d < poset.n and poset.incomparable_mask(c) >> d & 1
+    if not (0 <= c < poset.n and 0 <= d < poset.n):
+        return False
+    return not (poset.lt[c] | poset._gt[c] | 1 << c) >> d & 1
 
 
 def _is_pair(pair):
@@ -85,8 +87,8 @@ def _stays_incomparable(poset, x, y, c, d):
     c < d holds in P + x<y exactly when it holds in P, or c <= x and
     y <= d, so P's rows decide it without building the outcome.
     """
-    low = poset.below_mask(x) | 1 << x
-    high = poset.above_mask(y) | 1 << y
+    low = poset._gt[x] | 1 << x
+    high = poset.lt[y] | 1 << y
     return not (low >> c & 1 and high >> d & 1 or low >> d & 1 and high >> c & 1)
 
 

@@ -4,7 +4,10 @@ An autonomous set relates uniformly to every outside element, so it can be
 contracted to a single point: the poset is then the lexicographic sum of
 the contracted base with the induced factor.  A gold-partition witness
 found on a (smaller) factor lifts to the whole poset at exact k-multiples,
-which is much cheaper than searching the full comparison grid.
+which is much cheaper than searching the full comparison grid.  Every
+query is one scan of the spans of pairs, ``_span``: a set whose least
+point is x is autonomous exactly when it is a union of spans of pairs
+{x, y} whose least point is x.
 """
 
 import itertools
@@ -50,46 +53,41 @@ def _span(poset, mask, limit=MAX_ELEMENTS):
     return mask
 
 
+def _spans(poset, pairs):
+    """Yield each span of ``pairs`` smaller than P that beats the last one
+    yielded by (size, bitmask); none grows past the last one's size."""
+    best, limit = 1 << poset.n, poset.n - 1
+    for x, y in pairs:
+        span = _span(poset, 1 << x | 1 << y, limit)
+        size = span.bit_count()
+        if size < limit or size == limit and span < best:
+            best, limit = span, size
+            yield span
+
+
 def _covered(poset):
     """Whether P has an autonomous set of 2..n-1 points inducing a non-chain.
 
     A twin class of 2 or more points, but not all of them, is one (twins
     are incomparable).  Otherwise any such set holds an incomparable pair,
-    and so the pair's span, which is then smaller than P; the spans are
-    tried pair by pair, each stopped once it fills P.
+    and so that pair's span, which is then smaller than P.
     """
-    n = poset.n
-    if 1 < len(set(zip(poset.lt, poset._gt))) < n:
+    if 1 < len(set(zip(poset.lt, poset._gt))) < poset.n:
         return True
-    return any(
-        _span(poset, 1 << a | 1 << b, n - 1).bit_count() < n for a, b in poset._kept_pairs()
-    )
+    return any(_spans(poset, poset._kept_pairs()))
 
 
-def _size_then_mask(mask):
-    return mask.bit_count(), mask
+def _smallest(poset, pairs):
+    """Bitmask of the least span of ``pairs`` smaller than P, or None.
 
-
-def _smallest(poset, nonchain):
-    """Bitmask of the smallest non-trivial autonomous set, ties by bitmask, or None.
-
-    Each autonomous set holding x and y holds their span, so the smallest
-    one is the span of a pair (McConnell & Spinrad, Discrete Math. 201,
-    1999).  With ``nonchain`` only sets inducing a non-chain factor count:
-    they hold an incomparable pair, so only those pairs are spanned.  A
-    span stops growing once it is larger than the smallest found so far
-    (at first n - 1 elements, leaving out the whole poset).
+    Each autonomous set holding x and y holds their span, so over all pairs
+    this is the smallest non-trivial autonomous set, ties by bitmask
+    (McConnell & Spinrad, Discrete Math. 201, 1999); over the incomparable
+    pairs, the smallest one inducing a non-chain.
     """
-    if nonchain:
-        pairs = poset.incomparable_pairs()
-    else:
-        pairs = itertools.combinations(range(poset.n), 2)
-    best, limit = None, poset.n - 1
-    for x, y in pairs:
-        span = _span(poset, 1 << x | 1 << y, limit)
-        size = span.bit_count()
-        if size < limit or size == limit and (best is None or span < best):
-            best, limit = span, size
+    best = None
+    for best in _spans(poset, pairs):
+        pass
     return best
 
 
@@ -109,28 +107,28 @@ def is_autonomous(poset, members):
 def autonomous_sets(poset):
     """All non-trivial autonomous sets, ascending by size then by bitmask.
 
-    Non-trivial means more than one element but not the whole poset.  Every
-    such set M is reached from a pair inside it by adding one element of M
-    at a time and closing again, so the search grows each set found by each
-    outside element.
+    Non-trivial means more than one element but not the whole poset.  A set
+    M whose least point is x is autonomous exactly when it is a union of
+    spans of pairs {x, y} whose least point is x: each span of a pair in M
+    lies in M, and autonomous sets sharing a point have an autonomous
+    union.  So one scan of the pairs gives each x the unions of its spans.
     """
-    if poset.n > AUTONOMY_CAP:
+    n = poset.n
+    if n > AUTONOMY_CAP:
         raise SizeCapError(f"autonomous-set sweep capped at {AUTONOMY_CAP}")
-    full = (1 << poset.n) - 1
-    pending = [1 << x | 1 << y for x, y in itertools.combinations(range(poset.n), 2)]
-    seen, found = set(), []
-    while pending:
-        mask = pending.pop()
-        if mask in seen:
-            continue
-        seen.add(mask)
-        closed = _span(poset, mask)
-        if closed == mask != full:
-            found.append(mask)
-            pending.extend(mask | 1 << z for z in _bits(full & ~mask))
-        else:
-            pending.append(closed)
-    return [AutonomousSet(tuple(_bits(m))) for m in sorted(found, key=_size_then_mask)]
+    found = []
+    for x in range(n):
+        unions = set()
+        for y in range(x + 1, n):
+            span = _span(poset, 1 << x | 1 << y)
+            if span >> x << x == span and span not in unions:
+                unions |= {span | u for u in unions}
+                unions.add(span)
+        unions.discard((1 << n) - 1)
+        found += unions
+    found.sort()
+    found.sort(key=int.bit_count)
+    return [AutonomousSet(tuple(_bits(m))) for m in found]
 
 
 class AutonomousSet(namedtuple("AutonomousSet", "members")):
@@ -160,7 +158,8 @@ def decompose(poset):
     by bitmask.  The round trip is checked exactly: the rebuilt sum must
     equal the poset relabeled by ``base_elements`` and ``members``.
     """
-    chosen = _smallest(poset, True) or _smallest(poset, False)
+    pairs = itertools.combinations(range(poset.n), 2)
+    chosen = _smallest(poset, poset._kept_pairs()) or _smallest(poset, pairs)
     if chosen is None:
         return None
     members = tuple(_bits(chosen))
@@ -186,7 +185,7 @@ def gpc_via_decomposition(poset, strict=False):
     ``strict`` too, ``lift_witness`` mends the one tie a factor's witness
     can lift to), so the result is None exactly when ``check_gpc`` is.
     """
-    chosen = _smallest(poset, True)
+    chosen = _smallest(poset, poset._kept_pairs())
     if chosen is not None:
         members = tuple(_bits(chosen))
         factor = poset.induced(members)

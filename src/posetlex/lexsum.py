@@ -337,8 +337,8 @@ def gap_profile(poset, point):
     """
     _check_points("gap_profile", poset, point)
     total = linext._check_cap(poset, linext.DEFAULT_ENUM_CAP)
-    below = tuple(_bits(poset.below_mask(point)))
-    above = tuple(_bits(poset.above_mask(point)))
+    below = tuple(_bits(poset._gt[point]))
+    above = tuple(_bits(poset.lt[point]))
     sizes = {}
     for reduced, _, tails in linext._descend(
         poset, lambda ideal, x: () if x == point else (x,)

@@ -112,7 +112,7 @@ def _forward(poset):
     but not x: one mask test against below(x) | x.  Each level lists its
     ideals in a fixed order, elements tried in ascending index.
     """
-    steps = [(poset.below_mask(x), poset.below_mask(x) | 1 << x) for x in range(poset.n)]
+    steps = [(below, below | 1 << x) for x, below in enumerate(poset._gt)]
     level = {0: 1}
     yield level
     for _ in range(poset.n):

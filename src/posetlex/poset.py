@@ -151,14 +151,18 @@ class Poset:
         return bool(self.lt[a] >> b & 1)
 
     def above_mask(self, a):
-        """Bitmask of elements strictly above a."""
+        """Bitmask of elements strictly above a; ValueError for a point outside 0..n-1."""
+        _check_points("above_mask", self, a)
         return self.lt[a]
 
     def below_mask(self, a):
-        """Bitmask of elements strictly below a."""
+        """Bitmask of elements strictly below a; ValueError for a point outside 0..n-1."""
+        _check_points("below_mask", self, a)
         return self._gt[a]
 
     def incomparable_mask(self, a):
+        """Bitmask of elements incomparable to a; ValueError for a point outside 0..n-1."""
+        _check_points("incomparable_mask", self, a)
         full = (1 << self.n) - 1
         return full & ~self.lt[a] & ~self._gt[a] & ~(1 << a)
 
@@ -225,20 +229,16 @@ class Poset:
     def induced(self, elements):
         """Subposet on the given elements, relabeled in the order given.
 
-        An element outside 0..n-1 is a ValueError.
+        An element outside 0..n-1 or given twice is a ValueError.
         """
         elements = list(elements)
         _check_points("induced", self, *elements)
-        places = {}  # element -> bitmask of its positions in ``elements``
-        for j, a in enumerate(elements):
-            places[a] = places.get(a, 0) | 1 << j
+        places = {a: j for j, a in enumerate(elements)}
+        if len(places) < len(elements):
+            repeated = [a for a in places if elements.count(a) > 1]
+            raise ValueError(f"induced needs distinct points, got {repeated} repeated")
         inside = sum(1 << a for a in places)
-        rows = []
-        for a in elements:
-            row = 0
-            for b in _bits(self.lt[a] & inside):
-                row |= places[b]
-            rows.append(row)
+        rows = [_image(self.lt[a] & inside, places) for a in elements]
         return Poset(len(elements), rows, _trusted=True)
 
     def relabel(self, perm):
@@ -283,7 +283,8 @@ class Poset:
 
     def max_antichain(self):
         """One maximum antichain, as a sorted list of elements."""
-        incomp = [self.incomparable_mask(v) for v in range(self.n)]
+        full = (1 << self.n) - 1
+        incomp = [full & ~(self.lt[v] | self._gt[v] | 1 << v) for v in range(self.n)]
         best = [0, 0]  # size, mask
 
         def grow(allowed, chosen, size):

@@ -19,8 +19,9 @@ from posetlex import (
     verify_gpc_witness,
 )
 from posetlex import compose_at
-from posetlex.decompose import _covered
+from posetlex.decompose import _covered, _smallest
 from posetlex.errors import SizeCapError
+from posetlex.generate import poset_classes
 
 from conftest import (
     brute_autonomous_sets,
@@ -132,6 +133,23 @@ def test_autonomous_sets_and_decompose_match_subset_oracle(poset):
 def test_covered_matches_subset_oracle(poset):
     """The sweep's cover test: an autonomous set of 2..n-1 points inducing a non-chain."""
     assert _covered(poset) == brute_covered(poset)
+
+
+def test_autonomous_sets_match_subset_oracle_on_every_class():
+    """The least-point lemma on every class to 6 points, beyond hypothesis's samples."""
+    for poset, _ in poset_classes(6):
+        assert [s.members for s in autonomous_sets(poset)] == brute_autonomous_sets(poset)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_antichain_has_every_proper_subset_of_two_or_more(k):
+    assert len(autonomous_sets(Poset.antichain(k))) == 2**k - k - 2
+
+
+def test_covered_reads_the_same_scan_as_smallest():
+    """The sweep skips exactly the classes whose smallest non-chain factor is proper."""
+    for poset, _ in poset_classes(7):
+        assert _covered(poset) == (_smallest(poset, poset._kept_pairs()) is not None)
 
 
 def test_decompose_has_no_size_cap():

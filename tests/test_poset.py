@@ -198,6 +198,31 @@ def test_induced_rejects_points_outside(elements, outside):
         Poset.chain(3).induced(elements)
 
 
+@pytest.mark.parametrize(
+    "elements, repeated", [([0, 1, 0], [0]), ([2, 2, 1, 1], [2, 1]), ([1, 1, 1], [1])]
+)
+def test_induced_rejects_repeated_points(elements, repeated):
+    """A repeated point would give a copy of it, not a subposet."""
+    message = f"induced needs distinct points, got {repeated} repeated"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Poset.from_relations(3, [(0, 1)]).induced(elements)
+
+
+@pytest.mark.parametrize("method", ["above_mask", "below_mask", "incomparable_mask"])
+@pytest.mark.parametrize("point", [-1, 3, -3])
+def test_masks_reject_points_outside(method, point):
+    """No negative index reads another point's row, and no point past n is an IndexError."""
+    p = Poset.from_relations(3, [(0, 1)])
+    message = f"{method} needs points in 0..2, got [{point}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(p, method)(point)
+    assert [getattr(p, method)(v) for v in range(3)] == {
+        "above_mask": [0b010, 0, 0],
+        "below_mask": [0, 0b001, 0],
+        "incomparable_mask": [0b100, 0b100, 0b011],
+    }[method]
+
+
 def test_covers_skip_transitive_edges():
     p = Poset.chain(4)
     assert p.covers() == [(0, 1), (1, 2), (2, 3)]
