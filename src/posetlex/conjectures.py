@@ -73,11 +73,12 @@ def _incomparable(poset, c, d):
 
 
 def _is_pair(pair):
-    """Whether ``pair`` is two integers."""
+    """Whether ``pair`` is two integers, in a tuple or a list."""
     return (
         isinstance(pair, (tuple, list))
         and len(pair) == 2
-        and all(isinstance(v, int) for v in pair)
+        and isinstance(pair[0], int)
+        and isinstance(pair[1], int)
     )
 
 
@@ -203,17 +204,16 @@ def _recount(poset, results, seconds):
     """
     givens = [(), (results[0],)]
     givens += [(r, s) for r, s in zip(results, seconds) if s is not None]
-    total, t1, *befores = linext._counts(poset, givens)
-    befores = iter(befores)
+    found = linext._counts(poset, givens)
+    total, k = found[0], 2
     counts = []
-    for second in seconds:
-        if counts:
-            t1 = total - t1
+    for t1, second in zip((found[1], total - found[1]), seconds):
         if second is None:
             counts.append((t1, None))
         else:
-            before = next(befores)
+            before = found[k]
             counts.append((t1, max(before, t1 - before)))
+            k += 1
     return total, counts
 
 
@@ -223,21 +223,25 @@ def verify_gpc_witness(poset, witness):
     The first pair must be two incomparable points of P, the two branches
     must orient it one each way, and a recorded second pair must be two
     points incomparable in the outcome, read off P's rows; every pair must
-    be two integers.  The recounts are not the matrices the search reads,
-    so they check it independently: e(P) and every branch's (t1, t2) come
-    from one packed pass over P's lattice (``_recount``).  A branch with
-    no second pair is accepted when its outcome is a chain (t1 = 1, the
-    vacuous t2) or, counting the outcome's pairs, when one achieves at
-    most the recorded t2: the form lifted witnesses take on branches whose
-    component part is already sorted.
+    be two integers, in a tuple or a list (as ``to_json_dict`` writes it).
+    The recounts are not the matrices the search reads, so they check it
+    independently: e(P) and every branch's (t1, t2) come from one packed
+    pass over P's lattice (``_recount``).  A branch with no second pair is
+    accepted when its outcome is a chain (t1 = 1, the vacuous t2) or,
+    counting the outcome's pairs, when one achieves at most the recorded
+    t2: the form lifted witnesses take on branches whose component part is
+    already sorted.
     """
     results = [branch.result for branch in witness.branches]
     seconds = [branch.second for branch in witness.branches]
-    pairs = [witness.first, *results, *(s for s in seconds if s is not None)]
-    if not all(map(_is_pair, pairs)):
+    if not (
+        _is_pair(witness.first)
+        and all(map(_is_pair, results))
+        and all(_is_pair(s) for s in seconds if s is not None)
+    ):
         return False
     a, b = witness.first
-    if sorted(results) != sorted([(a, b), (b, a)]) or not _incomparable(poset, a, b):
+    if sorted(map(tuple, results)) != sorted([(a, b), (b, a)]) or not _incomparable(poset, a, b):
         return False
     for result, second in zip(results, seconds):
         if second is not None and not (
@@ -296,11 +300,12 @@ def sort_cost(poset):
         key = None if root or e < 7 else node.canonical_key()
         if key in memo:
             return memo[key]
-        matrix = linext.pair_counts(node)
+        columns, width, _ = linext.pair_counts(node)
+        field = (1 << width) - 1
         pairs = []
-        for a, b in node.incomparable_pairs():
-            before = matrix.before(a, b)
-            pairs.append((max(before, e - before), a, b))
+        for a, b in node._kept_pairs():
+            before = columns[b] >> width * a & field
+            pairs.append((max(before, e - before), a, b, before))
         pairs.sort()
         if pairs[0][0] <= 3:
             return pairs[0][0]
@@ -310,10 +315,10 @@ def sort_cost(poset):
                 return memo[key]
         floor = (e - 1).bit_length()
         best = e  # each comparison removes an extension, so e - 1 suffice
-        for t, a, b in pairs:
+        for t, a, b, before in pairs:
             if 1 + (t - 1).bit_length() >= best:
                 break
-            big, small = ((a, b), (b, a)) if matrix.before(a, b) == t else ((b, a), (a, b))
+            big, small = ((a, b), (b, a)) if before == t else ((b, a), (a, b))
             worst = 1 + outcome(node, *big, t)
             if worst < best:
                 best = min(best, max(worst, 1 + outcome(node, *small, e - t)))

@@ -227,8 +227,13 @@ def lift_witness(sum_poset, mapping, component, witness):
     that its result leaves incomparable, counted in the same pass.  A
     lifted witness that breaks the inequality raises InvalidWitnessError.
     A nonadaptive witness need not lift to one: Q = {0 < 2, 1} has one,
-    R = {0 < 1 < 3, 0 < 2} o_0 Q has none.
+    R = {0 < 1 < 3, 0 < 2} o_0 Q has none.  ``mapping`` must name
+    component.n distinct points of the sum; ValueError otherwise, before
+    anything is counted.
     """
+    if len(mapping) != component.n or len(set(mapping)) != component.n:
+        raise ValueError(f"lift_witness needs {component.n} distinct points, got {mapping}")
+    _check_points("lift_witness", sum_poset, *mapping)
     if not verify_gpc_witness(component, witness):
         raise InvalidWitnessError("witness fails re-verification on the component")
 

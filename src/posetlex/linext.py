@@ -18,16 +18,17 @@ with the element added, packed one label per byte of an int.  Counts of
 outcomes need no outcome poset: the ideals of P + a<b are the ideals of
 P that hold a whenever they hold b, so any outcome of comparisons is P's
 lattice with the steps it forbids dropped.  ``_matrix`` counts one outcome
-with its own forward loop; ``_down`` packs several outcomes into one pass
-for ``_counts``, which is how witnesses are recounted: each ideal holds
-one integer with a field per outcome, and a step masks out the fields of
-the outcomes that forbid it.  Pair probabilities come from a single pass: the
-forward pass counts down(I) = e(P|I), a backward pass up(I) = e(P|rest),
-and #(y before x) is the sum of down(I)*up(I+x) over the ideals I that x
-extends and y lies in; the sums for every y are carried in one integer per
-x, a field per y.  A ``PairCountMatrix`` keeps those packed columns as they
-are: callers read single fields in place, and the unpacked ``counts`` are
-built only when read.  The matrices of P and of the outcomes ``check_gpc``
+with its own forward loop; ``_counts``, the one packed recount pass,
+counts several outcomes at once, which is how witnesses are recounted:
+each ideal holds one integer with a field per outcome, and a step masks
+out the fields of the outcomes that forbid it.  Pair probabilities come
+from a single pass: the forward pass counts down(I) = e(P|I), a backward
+pass up(I) = e(P|rest), and #(y before x) is the sum of down(I)*up(I+x)
+over the ideals I that x extends and y lies in; the sums for every y are
+carried in one integer per x, a field per y.  A ``PairCountMatrix`` keeps
+those packed columns as they are: callers read single fields in place,
+over P's kept incomparable pairs, and the unpacked ``counts`` are built
+only when read.  The matrices of P and of the outcomes ``check_gpc``
 reads are kept on the Poset too (``_kept_matrix``).  ``LinearExtension``
 and ``PairCountMatrix`` are immutable named tuples.  All probabilities are
 `fractions.Fraction`; floats never enter a comparison.
@@ -262,31 +263,29 @@ def _lattice(poset):
     return poset._lattice
 
 
-def _down(poset, givens):
-    """down[i] packs e(P + given | ideal i) for each given, on P's lattice.
+def _counts(poset, givens):
+    """[e(P + given) for given in givens], from one packed pass over P's lattice.
 
     ``givens`` lists outcomes, each a tuple of comparisons (a, b), a below
     b.  The ideals of P + given are the ideals of P that hold a whenever
-    they hold b, so the step adding x is dropped unless the ideal holds
-    every a the given puts below x.  All the givens share one forward pass,
-    a single loop over the zipped step arrays: each ideal holds one int
-    with a field per given, and a step's gate masks out the fields of the
-    givens whose need the ideal misses.  The gates are built per x once per
-    call, and most steps have none.  A field is as wide as n!, which bounds
-    every count, so no field carries into the next.  Ideals of P that no
-    given reaches keep 0.
+    they hold b, so the step adding b is dropped from an ideal that lacks
+    a.  All the givens share one forward pass, a single loop over the
+    zipped step arrays: each ideal holds one int with a field per given,
+    and a step's gates mask out the fields of the givens it breaks.  The
+    gates are built once per call, one ``(1 << a, keep the other fields)``
+    per comparison, kept under b; most steps have none.  A field is as
+    wide as n!, which bounds every count, so no field carries into the
+    next.  The counts are the fields at the full ideal.
     """
     ideals, sources, targets, elements = _lattice(poset)
     width = _WIDTH[poset.n]
     ones = (1 << width) - 1
     every = (1 << width * len(givens)) - 1
-    gates = [()] * poset.n  # x -> ((need, keep the other fields), ...)
+    gates = [()] * poset.n  # b -> ((1 << a, keep the other fields), ...)
     for f, given in enumerate(givens):
-        needs = {}
+        keep = every ^ ones << width * f
         for a, b in given:
-            needs[b] = needs.get(b, 0) | 1 << a
-        for x, need in needs.items():
-            gates[x] += ((need, every ^ ones << width * f),)
+            gates[b] += ((1 << a, keep),)
     down = [0] * len(ideals)
     down[0] = every // ones  # a 1 in every field
     for i, j, x in zip(sources, targets, elements):
@@ -295,17 +294,11 @@ def _down(poset, givens):
         if gate and ways:
             ideal = ideals[i]
             for need, keep in gate:
-                if ideal & need != need:
+                if not ideal & need:
                     ways &= keep
         down[j] += ways
-    return down
-
-
-def _counts(poset, givens):
-    """[e(P + given) for given in givens]: the fields of ``_down`` at the full ideal."""
-    width = _WIDTH[poset.n]
-    full = _down(poset, givens)[-1]
-    return [full >> width * f & (1 << width) - 1 for f in range(len(givens))]
+    full = down[-1]
+    return [full >> width * f & ones for f in range(len(givens))]
 
 
 def _matrix(poset, given=()):
@@ -410,15 +403,16 @@ def delta(poset):
     """
     if poset.is_chain():
         raise ChainError("delta is undefined on chains")
-    matrix = pair_counts(poset)
+    columns, width, total = pair_counts(poset)
+    field = (1 << width) - 1
     best = -1
     best_pair = None
-    for x, y in poset.incomparable_pairs():
-        before = matrix.before(x, y)
-        value = min(before, matrix.total - before)
+    for x, y in poset._kept_pairs():
+        before = columns[y] >> width * x & field
+        value = min(before, total - before)
         if value > best:
             best, best_pair = value, (x, y)
-    return Fraction(best, matrix.total), best_pair
+    return Fraction(best, total), best_pair
 
 
 def _balanced(before, total):
@@ -435,10 +429,10 @@ def balanced_pair(poset):
     """
     if poset.is_chain():
         raise ChainError("balanced_pair is undefined on chains")
-    matrix = pair_counts(poset)
-    total = matrix.total
-    for x, y in poset.incomparable_pairs():
-        before = matrix.before(x, y)
+    columns, width, total = pair_counts(poset)
+    field = (1 << width) - 1
+    for x, y in poset._kept_pairs():
+        before = columns[y] >> width * x & field
         if _balanced(before, total):
             return (x, y), Fraction(before, total)
     return None

@@ -249,6 +249,21 @@ def test_verify_rejects_tampering(point_and_chain):
     assert not verify_gpc_witness(point_and_chain, GpcWitness((0,), w.t0, w.branches, w.strict))
 
 
+def test_verify_accepts_list_pairs():
+    """A witness whose pairs are lists, as ``to_json_dict`` writes them,
+    verifies as its tuple form does, and a forged t1 is still caught."""
+    p = Poset.from_relations(3, [(0, 1)])
+    w = check_gpc(p)
+    branches = tuple(
+        GpcBranch(list(b.result), b.t1, b.second and list(b.second), b.t2) for b in w.branches
+    )
+    listed = GpcWitness(list(w.first), w.t0, branches, w.strict)
+    assert verify_gpc_witness(p, listed)
+    b = branches[0]
+    forged = GpcBranch(b.result, b.t1 + 1, b.second, b.t2)
+    assert not verify_gpc_witness(p, listed._replace(branches=(forged, branches[1])))
+
+
 def test_verify_rejects_comparable_first_pair():
     p = Poset.from_relations(3, [(0, 1)])
     w = check_gpc(p)

@@ -422,6 +422,16 @@ def test_lift_rejects_invalid_witness(n_poset):
         lift_gpc_witness(n_poset, 0, q, forged)
 
 
+@pytest.mark.parametrize("mapping", [(2, -1), (2, 4), (2, 2)])
+def test_lift_rejects_bad_mapping(monkeypatch, mapping):
+    r = compose_at(Poset.from_relations(3, [(0, 1)]), 2, Poset.antichain(2)).poset
+    q = Poset.antichain(2)
+    w = check_gpc(q)
+    monkeypatch.setattr(linext, "_counts", None)  # nothing is counted
+    with pytest.raises(ValueError):
+        lift_witness(r, mapping, q, w)
+
+
 def test_nonadaptive_witness_need_not_lift():
     """Where the theorem stops: R = B o_0 Q on six points.  Q has a
     nonadaptive witness, R none; its chain outcome 1 < 0 becomes a

@@ -490,6 +490,7 @@ def _brute_counts(poset, givens):
     lambda poset: st.tuples(st.just(poset), _givens(poset))
 ))
 @example((Poset.antichain(3), [(), ((0, 1), (1, 0)), ((2, 2),), ((0, 1), (1, 2), (0, 2))]))
+@example((Poset.from_relations(4, [(0, 3)]), [((0, 2), (1, 2)), ((1, 2),), ((1, 2), (3, 2))]))
 def test_packed_counts_match_brute_force(case):
     poset, givens = case
     assert linext._counts(poset, givens) == _brute_counts(poset, givens)
