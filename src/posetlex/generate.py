@@ -2,28 +2,25 @@
 
 import math
 
-from .linext import _lattice
 from .poset import Poset, _orbit
 
 
 def poset_classes(max_n):
     """Yield (poset, |Aut(poset)|) once per isomorphism class on 1..max_n points.
 
-    Nothing is yielded when max_n < 1.
-
-    Classes come level by level, in a fixed order, by canonical
-    augmentation (McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 26, 1998; Brinkmann & McKay, "Posets on up to 16
-    points", Order 19, 2002).  Every poset C on n+1 points has a maximal
-    point, and removing it leaves a poset on n points, so C is a class
-    representative P on n points plus a new maximal point p above a
-    down-set D of P.  The canonical points of C are fixed by its
-    isomorphism class: of its maximal points, those with the largest
-    down-set; if these are not all twins (``Poset.twin_classes``), only
-    the orbit under Aut(C) of the one whose twin class comes last in C's
-    canonical order.  A child is kept only when p is canonical.  The ties
-    are the maximal points of P outside D whose down-set is as large as
-    D; the child is
+    Classes come by canonical augmentation (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998; Brinkmann & McKay,
+    "Posets on up to 16 points", Order 19, 2002).  Up to isomorphism, a
+    poset C on n+1 points is a class representative P on n points plus a
+    new maximal point p above a down-set D of P.  C's down-sets are P's,
+    then I + p for each down-set I of P holding D: each class reads its
+    down-sets off its parent's, and generation builds no ideal lattice.
+    The canonical points of C are fixed by its isomorphism class: of its
+    maximal points, those with the largest down-set; if these are not all
+    twins (``Poset.twin_classes``), only the orbit under Aut(C) of the one
+    whose twin class comes last in C's canonical order.  A child is kept
+    only when p is canonical.  The ties are the maximal points of P outside
+    D whose down-set is as large as D; the child is
       - rejected before it is built when such a point has a larger
         down-set than D;
       - kept with no search when every tie has down-set D, since a tie is
@@ -34,12 +31,12 @@ def poset_classes(max_n):
 
     Each class comes exactly once.  Removing a canonical point from C
     leaves one class P, and the down-sets D of P whose child is C with p
-    canonical form one orbit of Aut(P).  One down-set per orbit is tried.
+    canonical form one orbit of Aut(P), of which one down-set is tried.
     Swapping twins is an automorphism, so a down-set holding a later twin
-    of a class but not an earlier one is skipped.  When |Aut(P)| exceeds
-    the twin group, prod(t!) over its twin classes, the down-sets left are
-    merged further by their count profiles (how many twins of each class
-    they hold), under the generators of one canonical search of P.
+    of a class but not an earlier one is skipped; when |Aut(P)| exceeds
+    the twin group, prod(t!) over its twin classes, the rest are merged by
+    their count profiles (how many twins of each class they hold), under
+    the generators of one canonical search of P.
 
     A child kept with no search has, by orbit-stabilizer,
     |Aut(C)| = |Aut(P)| / |orbit of D| * (1 + ties): p's orbit in C is p
@@ -48,23 +45,27 @@ def poset_classes(max_n):
     members, for k twins held of each class of t.  A class on n points
     has n!/|Aut| labelings.
 
-    Each level's children are built before the level is handed over, class
-    by class; the generator never reads or changes a class it has yielded.
+    Classes come level by level, parent by parent, each parent's children
+    in the order of its down-sets.  A level is built before it is handed
+    over; the generator never reads or changes a class it has yielded.
+    Nothing is yielded when max_n < 1.
     """
-    level = [(Poset.antichain(1), 1)]
+    level = [(Poset.antichain(1), 1, [0])]  # [0]: the empty parent's down-sets
     for n in range(1, max_n + 1):
         children = []
         if n < max_n:
-            for small, automorphisms in level:
-                children += _children(small, automorphisms)
+            for small, automorphisms, inherited in level:
+                down = small._gt[-1]  # below point n - 1, the one added last
+                downs = inherited + [d | 1 << n - 1 for d in inherited if d & down == down]
+                children += _children(small, automorphisms, downs)
         level.reverse()
         while level:
-            yield level.pop()
+            yield level.pop()[:2]
         level = children
 
 
-def _children(small, automorphisms):
-    """(child, |Aut(child)|) for each child of a class whose new point is canonical."""
+def _children(small, automorphisms, downs):
+    """(child, |Aut(child)|, downs) per canonical child of small, whose down-sets are downs."""
     n = small.n
     top = 1 << n
     lt, gt = small.lt, small._gt
@@ -95,7 +96,7 @@ def _children(small, automorphisms):
         reverse=True,
     ) + [(-1, 0, 0)]
     children = []
-    for down in _lattice(small)[0]:
+    for down in downs:
         if down & laters and any(
             down & later and not down & earlier for later, earlier in twins
         ):
@@ -128,7 +129,7 @@ def _children(small, automorphisms):
         if plain:
             for mask, t in multiple:
                 orbit *= math.comb(t, (down & mask).bit_count())
-            children.append((child, automorphisms // orbit * tied.bit_count()))
+            children.append((child, automorphisms // orbit * tied.bit_count(), downs))
             continue
         classes_c, _, automorphisms_c, order, generators_c = child._quotient_search()
         last = max(
@@ -137,7 +138,7 @@ def _children(small, automorphisms):
         )
         new = next(i for i, members in enumerate(classes_c) if members[-1] == n)
         if _orbit(last, generators_c) >> new & 1:
-            children.append((child, automorphisms_c))
+            children.append((child, automorphisms_c, downs))
     return children
 
 
@@ -148,10 +149,7 @@ def _profile_orbit(profile, generators):
     while frontier:
         counts = frontier.pop()
         for g in generators:
-            image = [0] * len(counts)
-            for i, k in enumerate(counts):
-                image[g[i]] = k
-            image = tuple(image)
+            image = tuple([counts[i] for i in g])  # g's inverse: the same orbit
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
@@ -160,6 +158,8 @@ def _profile_orbit(profile, generators):
 
 def random_poset(n, rng=None, edge_probability=0.35):
     """A random poset: closure of a random index-ordered DAG, relabeled."""
+    if not 0 <= edge_probability <= 1:
+        raise ValueError(f"edge_probability {edge_probability} is outside [0, 1]")
     if not rng:
         import random  # here, not at module load: nothing else samples
 
@@ -177,9 +177,9 @@ def random_poset(n, rng=None, edge_probability=0.35):
 
 
 def random_nonchain_poset(n, rng=None, edge_probability=0.35):
-    """A random poset guaranteed not to be a chain (n must be at least 2)."""
-    if n < 2:
-        raise ValueError(f"every poset on n={n} points is a chain")
+    """A random poset that is not a chain: n >= 2, and edge_probability < 1."""
+    if n < 2 or not 0 <= edge_probability < 1:  # else every draw is a chain
+        raise ValueError(f"only chains on n={n} at edge_probability {edge_probability}")
     while True:
         poset = random_poset(n, rng, edge_probability)
         if not poset.is_chain():

@@ -16,8 +16,8 @@ from .errors import PosetError, SizeCapError, ZeroSizeError
 from .generate import poset_classes
 
 #: The largest sweep, in points.  With the cap lifted, generation to 9
-#: points takes about 5.0 s and ``sweep(9)`` about 21 s and 131 MB (CPU
-#: time, Python 3.11, one core of a shared 2-vCPU VM).
+#: points takes 3.0-4.1 s and ``sweep(9)`` 14-16 s, both at 118 MB peak RSS
+#: (CPU time, Python 3.11, one core of a shared 2-vCPU VM).
 SWEEP_CAP = 8
 
 #: Posets on n = 1..10 points, up to isomorphism (OEIS A000112) and labeled

@@ -10,9 +10,9 @@ import pytest
 
 from posetlex import GpcWitness, Poset, PosetError, SizeCapError, ZeroSizeError, conjectures
 from posetlex import generate, linext, poset as poset_module, survey, sweep
-from posetlex.generate import poset_classes, random_nonchain_poset
+from posetlex.generate import poset_classes, random_nonchain_poset, random_poset
 
-from conftest import brute_automorphisms, brute_covered, labeled_posets
+from conftest import brute_automorphisms, brute_covered, closed_subsets, labeled_posets
 
 #: Labeled posets on n = 1..6 points (OEIS A001035).
 LABELED = (1, 3, 19, 219, 4231, 130023)
@@ -27,7 +27,7 @@ CLASSES_7_SHA256 = "6e248f0c6dc758710a612a4c1eb1bf14fad4a0d5314e5dc809a4effe129b
 
 #: sha256 of repr((p.n, p.lt, |Aut(p)|)) over ``poset_classes(7)``, in
 #: yield order: the representatives, their labelings and their order.
-YIELD_7_SHA256 = "dd20355a1417c8d472a98afc90cd3a2c1b2c4d6aa8bca12587abc5950e3d6497"
+YIELD_7_SHA256 = "cd648268c9f969a46ad35a5ce6d5a3d311321eb5f0ca7cf04a06f2c0f5009f7a"
 
 #: ``sweep(7).to_json_dict()`` but for its mode and GPC failure count.
 SWEEP_7 = {
@@ -115,22 +115,53 @@ def test_each_class_comes_once():
 
 def test_one_child_per_twin_orbit(monkeypatch):
     """Deduplicating every child by canonical key took 134 canonical forms
-    on at most 5 points; canonical augmentation searches 9 times, and
-    computes no canonical form."""
-    searches = []
+    on at most 5 points; canonical augmentation builds 88 children and
+    searches 9 times, and computes no canonical form.  On at most 7 points
+    it builds 2,634 children and searches 503 times, whatever the order of
+    the down-sets."""
+    searches, built = [], []
     search = poset_module._canonical_code
+    init = Poset.__init__
 
     def counted(*args):
         searches.append(args)
         return search(*args)
 
+    def constructed(self, n, *args, **kwargs):
+        built.append(n)
+        init(self, n, *args, **kwargs)
+
     def forbidden(_):
         raise AssertionError("poset_classes computed a canonical form")
 
     monkeypatch.setattr(poset_module, "_canonical_code", counted)
+    monkeypatch.setattr(Poset, "__init__", constructed)
     monkeypatch.setattr(Poset, "canonical_form", forbidden)
-    assert sum(1 for _ in poset_classes(5)) == sum(CLASSES[:5])
-    assert len(searches) <= 9
+    for max_n, children, searched in [(5, 88, 9), (7, 2634, 503)]:
+        searches.clear()
+        built.clear()
+        assert sum(1 for _ in poset_classes(max_n)) == sum(CLASSES[:max_n])
+        assert (sum(n > 1 for n in built), len(searches)) == (children, searched)
+
+
+def test_children_get_down_sets_from_the_parent(monkeypatch):
+    """Each class expanded gets every down-set once, read off its parent's,
+    and no class comes with an ideal lattice."""
+    received = []
+    children = generate._children
+
+    def recorded(small, automorphisms, downs):
+        received.append((small, downs))
+        return children(small, automorphisms, downs)
+
+    monkeypatch.setattr(generate, "_children", recorded)
+    for poset, _ in poset_classes(7):
+        assert poset._lattice is None
+    assert len(received) == sum(CLASSES[:6])
+    for small, downs in received:
+        k = small.n
+        assert len(set(downs)) == len(downs)
+        assert set(downs) == set(closed_subsets(k, [small.below_mask(e) for e in range(k)]))
 
 
 def test_generation_builds_children_before_handing_a_class_over(monkeypatch):
@@ -139,9 +170,9 @@ def test_generation_builds_children_before_handing_a_class_over(monkeypatch):
     built = {}  # id -> class, kept alive so that the ids stay unique
     children = generate._children
 
-    def recorded(small, automorphisms):
+    def recorded(small, automorphisms, downs):
         built[id(small)] = small
-        return children(small, automorphisms)
+        return children(small, automorphisms, downs)
 
     monkeypatch.setattr(generate, "_children", recorded)
     kept = []
@@ -352,6 +383,24 @@ def test_sweep_cap():
 def test_random_nonchain_poset_needs_two_points(n):
     with pytest.raises(ValueError, match=f"n={n}"):
         random_nonchain_poset(n, random.Random(1))
+
+
+@pytest.mark.parametrize("edge_probability", [1.0, 1.5, -0.1])
+def test_random_nonchain_poset_needs_a_probability_below_one(monkeypatch, edge_probability):
+    """At 1 every draw is a chain: the bad value is rejected before drawing."""
+    rng = random.Random(1)
+    monkeypatch.setattr(rng, "random", None)  # a draw would fail with TypeError
+    with pytest.raises(ValueError, match=re.escape(str(edge_probability))):
+        random_nonchain_poset(4, rng, edge_probability=edge_probability)
+    if edge_probability != 1:
+        with pytest.raises(ValueError, match=re.escape(str(edge_probability))):
+            random_poset(4, rng, edge_probability=edge_probability)
+
+
+def test_random_poset_probability_bounds():
+    assert random_poset(4, random.Random(1), edge_probability=1.0).is_chain()
+    for sample in (random_poset, random_nonchain_poset):
+        assert sample(4, random.Random(1), edge_probability=0.0) == Poset.antichain(4)
 
 
 @pytest.mark.parametrize("max_n", [0, -1])
