@@ -194,7 +194,7 @@ def _search(poset, adaptive, strict):
 
 
 def _recount(poset, results, seconds):
-    """e(P) and each branch's (t1, t2), from one packed pass over P's lattice.
+    """e(P) and each branch's (t1, t2), from one packed forward pass.
 
     ``results`` orients the first pair once each way; ``seconds[i]`` is
     branch i's second pair, or None, which gets t2 = None.  The pass
@@ -204,16 +204,12 @@ def _recount(poset, results, seconds):
     """
     givens = [(), (results[0],)]
     givens += [(r, s) for r, s in zip(results, seconds) if s is not None]
-    found = linext._counts(poset, givens)
-    total, k = found[0], 2
+    total, first, *befores = linext._counts(poset, givens)
+    befores = iter(befores)
     counts = []
-    for t1, second in zip((found[1], total - found[1]), seconds):
-        if second is None:
-            counts.append((t1, None))
-        else:
-            before = found[k]
-            counts.append((t1, max(before, t1 - before)))
-            k += 1
+    for t1, second in zip((first, total - first), seconds):
+        before = None if second is None else next(befores)
+        counts.append((t1, None if before is None else max(before, t1 - before)))
     return total, counts
 
 
@@ -226,11 +222,11 @@ def verify_gpc_witness(poset, witness):
     be two integers, in a tuple or a list (as ``to_json_dict`` writes it).
     The recounts are not the matrices the search reads, so they check it
     independently: e(P) and every branch's (t1, t2) come from one packed
-    pass over P's lattice (``_recount``).  A branch with no second pair is
-    accepted when its outcome is a chain (t1 = 1, the vacuous t2) or,
-    counting the outcome's pairs, when one achieves at most the recorded
-    t2: the form lifted witnesses take on branches whose component part is
-    already sorted.
+    forward pass (``_recount``).  A branch with no second pair is accepted
+    when its outcome is a chain (t1 = 1, the vacuous t2) or when one of
+    the outcome's pairs, all counted in one more pass, achieves at most
+    the recorded t2: the form lifted witnesses take on branches whose
+    component part is already sorted.  Neither pass builds a lattice.
     """
     results = [branch.result for branch in witness.branches]
     seconds = [branch.second for branch in witness.branches]
@@ -260,13 +256,10 @@ def verify_gpc_witness(poset, witness):
             ok = branch.t2 == (0 if witness.strict else 1)
         else:
             # max(before, t1 - before) <= t2 for one of the outcome's pairs
-            ok = any(
-                t1 - branch.t2
-                <= linext._counts(poset, [(branch.result, (c, d))])[0]
-                <= branch.t2
-                for c, d in poset.incomparable_pairs()
-                if _stays_incomparable(poset, *branch.result, c, d)
-            )
+            result, most = branch.result, branch.t2
+            pairs = [p for p in poset._kept_pairs() if _stays_incomparable(poset, *result, *p)]
+            found = linext._counts(poset, [(result, p) for p in pairs])
+            ok = any(t1 - most <= before <= most for before in found)
         if not (ok and _partition_ok(witness.t0, t1, branch.t2, witness.strict)):
             return False
     return True

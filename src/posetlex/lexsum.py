@@ -219,7 +219,7 @@ def lift_witness(sum_poset, mapping, component, witness):
     witness is first re-verified on the component, which checks that t0 is
     e(component) and that the two branches orient one pair both ways.  Then
     every t-value is independently recounted on the sum by the recount
-    ``verify_gpc_witness`` uses, one packed pass over the sum's lattice of
+    ``verify_gpc_witness`` uses, one packed forward pass over the sum's
     ideals (``conjectures._recount``), and checked to be exactly k times
     the component value, k = e(sum) / t0; a chain outcome's vacuous t2
     lifts to t1 once k > 1.  Under ``strict`` that ties t0 = t1 + t2 when
@@ -303,8 +303,10 @@ def prob_preservation(spec, i, x, y):
 
 
 def multiset_coefficient(y, x):
-    """Number of multisets of size x from y symbols: C(y+x-1, x)."""
-    return math.comb(y + x - 1, x)
+    """Number of multisets of size x from y symbols: C(y+x-1, x), or 1 at (0, 0)."""
+    if y < 0 or x < 0:
+        raise ValueError(f"multiset_coefficient needs y, x >= 0, got y={y}, x={x}")
+    return math.comb(y + x - 1, x) if y or x else 1
 
 
 class GapProfile(namedtuple("GapProfile", "poset point classes")):

@@ -6,31 +6,31 @@ extension is a maximal chain from the empty ideal to the full ground set
 representation of a poset", Fundam. Inform. 71, 2006).
 ``count_extensions`` reads e(P) off P's kept pair-count matrix when
 ``pair_counts`` (and so ``check_gpc``, ``delta``, ``balanced_pair`` or
-``sort_cost``) has kept one; otherwise it counts the chains in its own
-level-by-level pass over ideal bitmasks and keeps nothing.  Witness
-recounts (``_counts``) never read a kept matrix.  Everything else runs on
-P's lattice, built once per Poset and kept on it (``_lattice``) as flat
-step arrays: one entry per step, its source ideal, target ideal and added
-element, in three packed arrays.  Every counting pass is one loop over the
-three zipped, forward or reversed.  Enumeration is one top-down pass over
-the lattice: each ideal's completions are its successors' completions
-with the element added, packed one label per byte of an int.  Counts of
-outcomes need no outcome poset: the ideals of P + a<b are the ideals of
-P that hold a whenever they hold b, so any outcome of comparisons is P's
-lattice with the steps it forbids dropped.  ``_matrix`` counts one outcome
-with its own forward loop; ``_counts``, the one packed recount pass,
-counts several outcomes at once, which is how witnesses are recounted:
-each ideal holds one integer with a field per outcome, and a step masks
-out the fields of the outcomes that forbid it.  Pair probabilities come
-from a single pass: the forward pass counts down(I) = e(P|I), a backward
-pass up(I) = e(P|rest), and #(y before x) is the sum of down(I)*up(I+x)
-over the ideals I that x extends and y lies in; the sums for every y are
-carried in one integer per x, a field per y.  A ``PairCountMatrix`` keeps
-those packed columns as they are: callers read single fields in place,
-over P's kept incomparable pairs, and the unpacked ``counts`` are built
-only when read.  The matrices of P and of the outcomes ``check_gpc``
-reads are kept on the Poset too (``_kept_matrix``).  ``LinearExtension``
-and ``PairCountMatrix`` are immutable named tuples.  All probabilities are
+``sort_cost``) has kept one.  Counts of outcomes need no outcome poset:
+the ideals of P + a<b are the ideals of P that hold a whenever they hold
+b, so an outcome of comparisons is P's ideals less the steps it forbids.
+``_counts``, the one packed forward pass, counts several outcomes at
+once, a field per outcome in one integer per ideal, a step masking out
+the fields of the outcomes that forbid it; it serves ``count_extensions``
+otherwise, ``prob`` and the witness recounts.  On P's kept lattice it
+loops over the steps; on a fresh poset its level pass builds no lattice.
+Backward passes (``_matrix``, behind ``pair_counts``, ``check_gpc`` and
+``sort_cost``) and enumeration run on P's lattice, built once per Poset
+and kept on it (``_lattice``) as flat step arrays: one entry per step,
+its source ideal, target ideal and added element, in three packed arrays,
+looped over zipped, forward or reversed.  Enumeration is one top-down
+pass over the lattice: each ideal's completions are its successors'
+completions with the element added, packed one label per byte of an int.
+Pair counts come from a single forward/backward pass: the forward pass
+counts down(I) = e(P|I), the backward pass up(I) = e(P|rest), and #(y
+before x) is the sum of down(I)*up(I+x) over the ideals I that x extends
+and y lies in; the sums for every y are carried in one integer per x, a
+field per y.  A ``PairCountMatrix`` keeps those packed columns as they
+are: callers read single fields in place, over P's kept incomparable
+pairs, and the unpacked ``counts`` are built only when read.  The
+matrices of P and of the outcomes ``check_gpc`` reads are kept on the
+Poset too (``_kept_matrix``).  ``LinearExtension`` and
+``PairCountMatrix`` are immutable named tuples.  All probabilities are
 `fractions.Fraction`; floats never enter a comparison.
 """
 
@@ -106,40 +106,16 @@ class PairCountMatrix(namedtuple("PairCountMatrix", "columns width total")):
         )
 
 
-def _forward(poset):
-    """The forward pass: for k = 0..n, the level {ideal of size k: e(P|ideal)}.
-
-    x extends an ideal exactly when the ideal holds the elements below x
-    but not x: one mask test against below(x) | x.  Each level lists its
-    ideals in a fixed order, elements tried in ascending index.
-    """
-    steps = [(below, below | 1 << x) for x, below in enumerate(poset._gt)]
-    level = {0: 1}
-    yield level
-    for _ in range(poset.n):
-        nxt = {}
-        get = nxt.get
-        for ideal, ways in level.items():
-            for below, mask in steps:
-                if ideal & mask == below:
-                    grown = ideal | mask
-                    nxt[grown] = get(grown, 0) + ways
-        level = nxt
-        yield level
-
-
 def count_extensions(poset):
     """Exact e(P): the total of P's kept pair-count matrix, when one is kept.
 
-    Otherwise the forward pass's count at the full ideal: a count-only call
-    keeps nothing and builds no lattice.
+    Otherwise ``_counts(P, [()])``, whose level pass keeps nothing and
+    builds no lattice; only backward passes and enumeration build one.
     """
     kept = poset._pair_counts
     if kept and () in kept:
         return kept[()].total
-    for level in _forward(poset):
-        pass
-    return level[(1 << poset.n) - 1]
+    return _counts(poset, [()])[0]
 
 
 def enumerate_extensions(poset, cap=DEFAULT_ENUM_CAP):
@@ -219,15 +195,13 @@ def _descend(poset, mark=None):
 def _lattice(poset):
     """P's lattice of ideals as flat step arrays, built once per Poset.
 
-    Returns ``(ideals, sources, targets, elements)``.  ``ideals`` lists the
-    ideal bitmasks level by level, each level in the order the forward pass
-    of ``count_extensions`` first reaches them.  Step s adds element
-    ``elements[s]`` to ideal ``sources[s]`` and gives ideal ``targets[s]``;
-    the steps are grouped by source, ascending, and by ascending element
-    within a source.  Every counting pass is one loop over the three arrays
-    zipped; enumeration finds an ideal's run by ``bisect``.  They are
-    packed arrays, since a wide poset has millions of steps.  The
-    lattice is kept on the instance; it holds no count.
+    Returns ``(ideals, sources, targets, elements)``: the ideal bitmasks
+    level by level, each level in the order the build first reaches them,
+    and per step s, ``elements[s]`` added to ideal ``sources[s]`` giving
+    ideal ``targets[s]``, grouped by ascending source and element.  A
+    counting pass loops over the three step arrays zipped; enumeration
+    finds an ideal's run by ``bisect``.  They are packed arrays, since a
+    wide poset has millions of steps.  The lattice holds no count.
     """
     if poset._lattice is not None:
         return poset._lattice
@@ -264,40 +238,71 @@ def _lattice(poset):
 
 
 def _counts(poset, givens):
-    """[e(P + given) for given in givens], from one packed pass over P's lattice.
+    """[e(P + given) for given in givens], from one packed forward pass.
 
     ``givens`` lists outcomes, each a tuple of comparisons (a, b), a below
-    b.  The ideals of P + given are the ideals of P that hold a whenever
-    they hold b, so the step adding b is dropped from an ideal that lacks
-    a.  All the givens share one forward pass, a single loop over the
-    zipped step arrays: each ideal holds one int with a field per given,
-    and a step's gates mask out the fields of the givens it breaks.  The
-    gates are built once per call, one ``(1 << a, keep the other fields)``
-    per comparison, kept under b; most steps have none.  A field is as
-    wide as n!, which bounds every count, so no field carries into the
-    next.  The counts are the fields at the full ideal.
+    b.  The ideals of P + given are those of P that hold a whenever they
+    hold b, so the step adding b is dropped from an ideal that lacks a.
+    Each ideal holds one int with a field per given, as wide as n!, which
+    bounds every count, so no field carries into the next; a step's gates,
+    one ``(1 << a, keep the other fields)`` per comparison, kept under b,
+    mask out the fields of the givens it breaks.  The counts are the fields
+    at the full ideal.  When P keeps its lattice, the pass is one loop over
+    the zipped step arrays.  Otherwise it is the level pass, which builds no
+    lattice and keeps nothing: level k maps each ideal of size k to its
+    packed counts, and x extends an ideal exactly when the ideal holds the
+    elements below x but not x, one mask test against below(x) | x.  Ungated
+    steps go first, so a plain count tests no gate.  Lattices are built only
+    by backward passes (``_matrix``) and by enumeration (``_descend``).
     """
-    ideals, sources, targets, elements = _lattice(poset)
-    width = _WIDTH[poset.n]
+    n = poset.n
+    width = _WIDTH[n]
     ones = (1 << width) - 1
     every = (1 << width * len(givens)) - 1
-    gates = [()] * poset.n  # b -> ((1 << a, keep the other fields), ...)
+    gates = [()] * n  # b -> ((1 << a, keep the other fields), ...)
     for f, given in enumerate(givens):
         keep = every ^ ones << width * f
         for a, b in given:
             gates[b] += ((1 << a, keep),)
-    down = [0] * len(ideals)
-    down[0] = every // ones  # a 1 in every field
-    for i, j, x in zip(sources, targets, elements):
-        ways = down[i]
-        gate = gates[x]
-        if gate and ways:
-            ideal = ideals[i]
-            for need, keep in gate:
-                if not ideal & need:
-                    ways &= keep
-        down[j] += ways
-    full = down[-1]
+    start = every // ones  # a 1 in every field
+    if poset._lattice is None:
+        gt = poset._gt
+        free = [(gt[x], gt[x] | 1 << x) for x in range(n) if not gates[x]]
+        gated = [(gt[x], gt[x] | 1 << x, gates[x]) for x in range(n) if gates[x]]
+        level = {0: start}
+        for _ in range(n):
+            nxt = {}
+            get = nxt.get
+            for ideal, ways in level.items():
+                for below, mask in free:
+                    if ideal & mask == below:
+                        grown = ideal | mask
+                        nxt[grown] = get(grown, 0) + ways
+            for ideal, ways in level.items() if gated else ():
+                for below, mask, gate in gated:
+                    if ideal & mask == below:
+                        passed = ways
+                        for need, keep in gate:
+                            if not ideal & need:
+                                passed &= keep
+                        grown = ideal | mask
+                        nxt[grown] = get(grown, 0) + passed
+            level = nxt
+        full = level[(1 << n) - 1]
+    else:
+        ideals, sources, targets, elements = poset._lattice
+        down = [0] * len(ideals)
+        down[0] = start
+        for i, j, x in zip(sources, targets, elements):
+            ways = down[i]
+            gate = gates[x]
+            if gate and ways:
+                ideal = ideals[i]
+                for need, keep in gate:
+                    if not ideal & need:
+                        ways &= keep
+            down[j] += ways
+        full = down[-1]
     return [full >> width * f & ones for f in range(len(givens))]
 
 

@@ -364,9 +364,43 @@ def test_lift_witness_counts_once_per_comparison(monkeypatch, n_poset, relations
         (r1, s1), (r2, s2) = [(b.result, b.second) for b in witness.branches]
         seconds = [(r2, s2)] if vacuous else [(r1, s1), (r2, s2)]
         assert givens == [(), (r1,), *seconds]
-    # every count runs on the lattice of Q or of the sum; Q's came with w
-    assert builds == [spec.poset]
+    # Q's lattice came with w; the sum's counts run the level pass
+    assert builds == []
     assert lifted.t0 == count_extensions(spec.poset)
+
+
+def test_one_shot_counts_build_no_lattice(monkeypatch, n_poset):
+    """Counts on a fresh poset run the level pass and keep no lattice.
+
+    The point beside a chain lifts into N o_0 Q with a vacuous first branch
+    of k > 1 extensions; verifying it counts every pair that branch's
+    result leaves incomparable, all in one pass.
+    """
+    q = Poset.from_relations(3, [(1, 2)])
+    w = check_gpc(q)
+    spec = compose_at(n_poset, 0, q)
+    lifted = lift_witness(spec.poset, spec.embed[0], q, w)
+    assert spec.poset._lattice is None
+    vacuous = lifted.branches[0]
+    assert vacuous.second is None and vacuous.t1 > 1
+    fresh = Poset(spec.poset.n, spec.poset.lt)
+    calls = []
+    counts = linext._counts
+
+    def counted(poset, givens):
+        calls.append(list(givens))
+        return counts(poset, givens)
+
+    monkeypatch.setattr(linext, "_counts", counted)
+    assert verify_gpc_witness(fresh, lifted)
+    candidates = fresh.with_relation(*vacuous.result).incomparable_pairs()
+    assert len(calls) == 2 and len(candidates) > 1
+    assert calls[1] == [(vacuous.result, pair) for pair in candidates]
+    assert count_extensions(fresh) == lifted.t0
+    (c, d), orders = candidates[0], brute_extensions(fresh)
+    before = sum(order.index(c) < order.index(d) for order in orders)
+    assert prob(fresh, c, d) == Fraction(before, len(orders))
+    assert fresh._lattice is None and spec.poset._lattice is None
 
 
 def test_strict_lift_mends_vacuous_tie(monkeypatch):
@@ -482,6 +516,11 @@ def test_multiset_coefficient():
     assert multiset_coefficient(1, 5) == 1
     assert multiset_coefficient(3, 2) == 6
     assert multiset_coefficient(2, 3) == 4
+    assert multiset_coefficient(0, 0) == 1  # the empty multiset
+    assert multiset_coefficient(0, 2) == 0
+    for y, x in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match=f"y={y}, x={x}"):
+            multiset_coefficient(y, x)
 
 
 def test_gap_profile_partitions(point_and_chain):

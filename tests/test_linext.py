@@ -274,15 +274,15 @@ def test_delta_permutation_examples():
 
 
 def _count_passes(monkeypatch):
-    """Record the poset of every forward pass over an ideal lattice."""
+    """Record the poset of every packed forward pass (``_counts``)."""
     passes = []
-    forward = linext._forward
+    counts = linext._counts
 
-    def counted(poset):
+    def counted(poset, givens):
         passes.append(poset)
-        return forward(poset)
+        return counts(poset, givens)
 
-    monkeypatch.setattr(linext, "_forward", counted)
+    monkeypatch.setattr(linext, "_counts", counted)
     return passes
 
 
@@ -492,8 +492,14 @@ def _brute_counts(poset, givens):
 @example((Poset.antichain(3), [(), ((0, 1), (1, 0)), ((2, 2),), ((0, 1), (1, 2), (0, 2))]))
 @example((Poset.from_relations(4, [(0, 3)]), [((0, 2), (1, 2)), ((1, 2),), ((1, 2), (3, 2))]))
 def test_packed_counts_match_brute_force(case):
+    """The level pass on a fresh poset and the loop over its kept lattice
+    give the same fields, and both the brute counts."""
     poset, givens = case
-    assert linext._counts(poset, givens) == _brute_counts(poset, givens)
+    twin = Poset(poset.n, poset.lt)
+    fresh = linext._counts(twin, givens)
+    assert twin._lattice is None
+    linext._lattice(poset)
+    assert linext._counts(poset, givens) == fresh == _brute_counts(poset, givens)
 
 
 def test_prob_is_one_pass(monkeypatch):
